@@ -6,10 +6,12 @@ import numpy as np
 
 from .fields import Field2D
 from .spectrum import SystemConfig
-from .wavepacket import PacketSpec, _mode_matrix, evolve, expand
+from .revivals import _parabolic_vertex
+from .wavepacket import PacketSpec, _density_rows, _mode_matrix, evolve, expand
 
 DEFAULT_NT = 512
 DEFAULT_NX = 512
+BLOCK_ROWS = 16  # rows whose densities one product forms; the scratch stays BLOCK_ROWS x nx
 
 
 def carpet(
@@ -21,9 +23,10 @@ def carpet(
 ) -> Field2D:
     """Density sampled on nt uniform times (rows) by nx uniform positions.
 
-    Rows are mutually independent time slices; each row integrates (trapezoid)
-    to the captured norm of the underlying expansion. nt = 1 degenerates to a
-    single row at t0.
+    Rows are mutually independent time slices, each evolved on its own and
+    turned into densities BLOCK_ROWS rows per product; each row integrates
+    (trapezoid) to the captured norm of the underlying expansion. nt = 1
+    degenerates to a single row at t0.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not (t0 >= 0.0 and t1 >= t0):
@@ -42,10 +45,12 @@ def carpet(
     modes = _mode_matrix(expansion.n_values, x_grid)
 
     values = np.empty((len(times), nx))
-    for i, t in enumerate(times):
-        state = evolve(expansion, float(t), cfg)
-        psi = state.expansion.coefficients @ modes
-        values[i] = np.abs(psi) ** 2
+    rows = np.empty((min(BLOCK_ROWS, len(times)), len(expansion.n_values)), dtype=complex)
+    for start in range(0, len(times), BLOCK_ROWS):
+        block = times[start : start + BLOCK_ROWS]
+        for i, t in enumerate(block):
+            rows[i] = evolve(expansion, float(t), cfg).expansion.coefficients
+        values[start : start + len(block)] = _density_rows(rows[: len(block)], modes)
 
     meta = {
         "axis1": "time [T_rev]",
@@ -82,11 +87,7 @@ def dominant_period(times: np.ndarray, trace: np.ndarray, pad_factor: int = 8) -
     spec = np.abs(np.fft.rfft(sig, n=pad_factor * n)) ** 2
     freqs = np.fft.rfftfreq(pad_factor * n, d=dt)
     k = int(np.argmax(spec[1:])) + 1
-    if 1 <= k < len(spec) - 1:
-        denom = spec[k - 1] - 2.0 * spec[k] + spec[k + 1]
-        shift = 0.5 * (spec[k - 1] - spec[k + 1]) / denom if denom != 0.0 else 0.0
-    else:
-        shift = 0.0
+    shift = _parabolic_vertex(*spec[k - 1 : k + 2])[0] if k < len(spec) - 1 else 0.0
     f_peak = freqs[k] + shift * (freqs[1] - freqs[0])
     return 1.0 / f_peak
 

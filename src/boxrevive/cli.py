@@ -4,8 +4,10 @@ Subcommands: spectrum, carpet, wigner, subplanck, revivals, fidelity. Every
 run validates its configuration before any computation starts (violations exit
 with status 2 and a message naming the broken precondition), writes its CSV /
 PGM / JSON artifacts into the output directory, and records every resolved
-parameter, including defaults, in manifest.txt. Numerical contract failures
-(truncation, coverage, marginal-check breaches) exit with status 1.
+parameter, including defaults, in manifest.txt. Preconditions the library
+checks during the run (momentum-grid coverage, the time and level domain of
+the phase reduction) also exit with status 2. Numerical contract failures
+(truncation, row-norm and marginal-check breaches) exit with status 1.
 
 Flags may also be supplied through a key = value config file (any section
 names); explicit flags override file values. The BOXREVIVE_THREADS environment
@@ -40,7 +42,7 @@ from .spectrum import (
     time_scales,
 )
 from .subplanck import MODES, evaluation_time, sensitivity_reports, subplanck_dimension
-from .wavepacket import CoverageError, PacketSpec, TruncationError, evolve, expand
+from .wavepacket import PacketSpec, TruncationError, evolve, expand
 from .wigner import default_p_max, marginal_errors, wigner
 
 EXIT_OK = 0
@@ -458,15 +460,10 @@ def _run_subplanck(cfg: RunConfig, out: Path) -> dict:
     rows = []
     if g["q2_list"] is not None:
         q2_values = [float(v) for v in str(g["q2_list"]).split(",")]
-        pairs = sensitivity_reports(cfg.packet, q2_values, g["mode"], cfg.system)
+        pairs = sensitivity_reports(
+            cfg.packet, q2_values, g["mode"], cfg.system, with_fringe=with_fringe
+        )
         for report, delta in pairs:
-            if with_fringe:
-                report = subplanck_dimension(
-                    cfg.packet,
-                    dataclasses.replace(cfg.system, q_squared=report.q_squared),
-                    report.time,
-                    with_fringe=True,
-                )
             rows.append(
                 (report.q_squared, report.time, report.delta_x_eff, report.delta_p_eff,
                  report.action_A, report.dim_a, delta, report.fringe_spacing)
@@ -561,7 +558,7 @@ def run(argv) -> int:
     except (ValueError, PerturbativeRegimeError) as exc:
         print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TruncationError, CoverageError, RowNormError, MarginalError) as exc:
+    except (TruncationError, RowNormError, MarginalError) as exc:
         print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -51,6 +51,17 @@ class FidelityScan:
         return list(zip(self.times.tolist(), self.values.tolist()))
 
 
+def _parabolic_vertex(left, mid, right) -> tuple[float, float]:
+    """Vertex of the parabola through three equally spaced samples.
+
+    Returns the offset from the middle sample in units of the spacing and the
+    height there; a flat triple gives (0, mid).
+    """
+    denom = left - 2.0 * mid + right
+    shift = 0.5 * (left - right) / denom if denom != 0.0 else 0.0
+    return shift, mid - 0.25 * (left - right) * shift
+
+
 def enumerate_fractional(n_bar: int, cfg: SystemConfig, s_max: int) -> list[RevivalPrediction]:
     """All proper fractions (r2/s2) t_sr4 with s2 <= s_max, sorted ascending.
 
@@ -105,7 +116,7 @@ def fidelity_scan(
         raise ValueError(f"nt >= 3 required for a scan (got {nt})")
     exp = expansion if expansion is not None else expand(packet, cfg)
     times = np.linspace(float(t_range[0]), float(t_range[1]), nt)
-    values = np.array([abs(autocorrelation(exp, float(t), cfg)) for t in times])
+    values = np.abs(autocorrelation(exp, times, cfg))
 
     step = times[1] - times[0]
     threshold = PEAK_THRESHOLD * exp.captured_norm
@@ -114,11 +125,8 @@ def fidelity_scan(
         v = values[i]
         if v < threshold or not (v > values[i - 1] and v >= values[i + 1]):
             continue
-        denom = values[i - 1] - 2.0 * v + values[i + 1]
-        shift = 0.5 * (values[i - 1] - values[i + 1]) / denom if denom != 0.0 else 0.0
-        t_peak = times[i] + shift * step
-        v_peak = v - 0.25 * (values[i - 1] - values[i + 1]) * shift
-        peaks.append((float(t_peak), float(v_peak)))
+        shift, v_peak = _parabolic_vertex(values[i - 1], v, values[i + 1])
+        peaks.append((float(times[i] + shift * step), float(v_peak)))
     return FidelityScan(
         times=times, values=values, peaks=peaks, captured_norm=exp.captured_norm
     )

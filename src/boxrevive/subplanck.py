@@ -95,11 +95,12 @@ def sensitivity_reports(
     q2_list,
     mode: str,
     base_cfg: SystemConfig | None = None,
+    with_fringe: bool = False,
 ) -> list[tuple[SubPlanckReport, float]]:
     """Reports plus ratios delta = a_q / a(q2=0, t=0.25), sorted by q2.
 
     In super_revival mode the q2 = 0 entry is skipped (its super-revival time
-    does not exist).
+    does not exist). with_fringe adds the fringe spacing to every report.
     """
     base = base_cfg if base_cfg is not None else SystemConfig()
     reference = subplanck_dimension(packet, replace(base, q_squared=0.0), SHORT_TIME)
@@ -108,7 +109,9 @@ def sensitivity_reports(
         if mode == "super_revival" and q2 == 0.0:
             continue
         cfg = replace(base, q_squared=float(q2))
-        report = subplanck_dimension(packet, cfg, evaluation_time(float(q2), mode))
+        report = subplanck_dimension(
+            packet, cfg, evaluation_time(float(q2), mode), with_fringe
+        )
         out.append((report, report.dim_a / reference.dim_a))
     return out
 

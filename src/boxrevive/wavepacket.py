@@ -17,17 +17,20 @@ truncated range is carried explicitly so downstream checks can account for it.
 
 Evolution is exact: in units of T_rev the phase of level n at time t is
 2 pi t (n^2 - q2 n^4) and the cycle count t (n^2 - q2 n^4) is reduced modulo 1
-with exact rational arithmetic before any trigonometric call, so times as
-large as 1e5 T_rev lose no accuracy.
+before any trigonometric call by an error-free float transformation (Dekker's
+splitting into exact double products, each reduced modulo one exactly), so
+the reduced count is within 1e-15 cycles of the exact one and times as large
+as 1e5 T_rev lose no accuracy. Its domain is |t| max(1, q2) <= MAX_ABS_TIME
+and n <= MAX_LEVEL; phase_cycles rejects anything outside it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +44,12 @@ DEFAULT_X_POINTS = 1024
 DEFAULT_P_POINTS = 1024
 TRANSFORM_X_POINTS = 2048
 STABLE_TAIL_TERMS = 3
+
+# Domain of the error-free phase reduction (see phase_cycles).
+MAX_ABS_TIME = 1e200
+MAX_LEVEL = 9741  # largest n with n^4 < 2^53
+_SPLITTER = 134217729.0  # 2^27 + 1
+_BLOCK_CELLS = 1 << 16  # (time, level) cells reduced per block of an array of times
 
 
 class TruncationError(RuntimeError):
@@ -191,26 +200,108 @@ def expand(packet: PacketSpec, cfg: SystemConfig) -> EigenExpansion:
     return expansion
 
 
-def phase_cycles(t: float, q2: float, n_values) -> np.ndarray:
-    """Fractional part of t * (n^2 - q2 n^4) for each n, reduced exactly.
+def _split(a):
+    """Dekker's split: a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
-    Both t and q2 enter as the exact rationals represented by their floats, so
-    the reduction modulo one cycle is free of cancellation no matter how large
-    t * n^4 grows.
+
+def _centered(x):
+    """x minus its nearest integer, in [-1/2, 1/2]; exact for every finite double."""
+    return x - np.rint(x)
+
+
+@functools.lru_cache(maxsize=8)
+def _level_factors(dtype: str, raw: bytes) -> np.ndarray:
+    """Rows L_k(n) pairing with the time factors of `_time_factors`, read-only.
+
+    n^2 has at most 27 significant bits and the halves of n^4 at most 26, so
+    every product with a 26-bit time factor is an exact double.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite (got {t})")
-    tf = Fraction(t)
-    qf = Fraction(q2) if q2 else None
-    out = np.empty(len(n_values), dtype=float)
-    for i, n in enumerate(n_values):
-        n = int(n)
-        c = tf * (n * n)
-        if qf is not None:
-            c -= tf * qf * n**4
-        frac = float(c - math.floor(c))
-        out[i] = 0.0 if frac >= 1.0 else frac  # exact frac may round up to 1
-    return out
+    n = np.frombuffer(raw, dtype=dtype).astype(float)
+    if n.size and not np.max(np.abs(n)) <= MAX_LEVEL:
+        raise ValueError(
+            f"|n| <= {MAX_LEVEL} violated (got {np.max(np.abs(n)):.0f}); n^4 is no longer "
+            "an exact double past it"
+        )
+    n2 = n * n
+    n4_hi, n4_lo = _split(n2 * n2)
+    rows = np.array([n2, n2] + [n4_hi, n4_lo] * 4)
+    rows.setflags(write=False)
+    return rows
+
+
+def _time_factors(t, q2: float) -> list:
+    """Factors c_k with t (n^2 - q2 n^4) = sum_k c_k L_k(n) (mod 1), each c_k 26 bits.
+
+    t n^2 = tau n^2 (mod 1) with tau = t - rint(t). Dekker's TwoProduct gives
+    t q2 = s + sigma exactly; s and sigma reduced the same way multiply n^4.
+    """
+    tau_hi, tau_lo = _split(_centered(t))
+    if not q2:
+        return [tau_hi, tau_lo]
+    s = t * q2
+    t_hi, t_lo = _split(t)
+    q_hi, q_lo = _split(q2)
+    sigma = ((t_hi * q_hi - s) + t_hi * q_lo + t_lo * q_hi) + t_lo * q_lo
+    s_hi, s_lo = _split(-_centered(s))
+    sigma_hi, sigma_lo = _split(-_centered(sigma))
+    return [tau_hi, tau_lo, s_hi, s_hi, s_lo, s_lo, sigma_hi, sigma_hi, sigma_lo, sigma_lo]
+
+
+def _reduced_cycles(t, q2: float, levels: np.ndarray) -> np.ndarray:
+    """phase_cycles for a float t (shape (n,)) or a 1-d array of times (shape (len, n))."""
+    factors = np.array(_time_factors(t, q2))  # (k,) or (k, len(t))
+    levels = levels[: len(factors)]
+    parts = factors[..., None] * (levels if factors.ndim == 1 else levels[:, None, :])
+    parts -= np.rint(parts)
+    # Pairwise sum, reduced after every level: each addition rounds by <= 2^-54.
+    while len(parts) > 1:
+        half = (len(parts) + 1) // 2
+        parts[: len(parts) - half] += parts[half:]
+        parts = parts[:half]
+        parts -= np.rint(parts)
+    cycles = np.mod(parts[0], 1.0)
+    cycles[cycles == 1.0] = 0.0  # a tiny negative remainder rounds up to 1
+    return cycles
+
+
+def phase_cycles(t, q2: float, n_values) -> np.ndarray:
+    """t * (n^2 - q2 n^4) modulo one, in [0, 1), for each n; error-free to 1e-15.
+
+    t is a float or an array of times; the result has shape
+    (*shape(t), len(n_values)). t and q2 enter as the exact rationals their
+    doubles represent. Dekker's splitting turns t n^2 and t q2 n^4 into sums of
+    exact double products; each product is reduced modulo one exactly and the
+    reduced parts are summed pairwise, so the cycle count is within 6e-16 of
+    the exact fractional part (circularly) however large t n^4 grows.
+
+    Domain: |t| max(1, q2) <= MAX_ABS_TIME (past it the splitting overflows)
+    and |n| <= MAX_LEVEL (past it n^4 is not an exact double).
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        span = abs(float(t))
+    else:
+        span = float(np.max(np.abs(t))) if t.size else 0.0
+    if not math.isfinite(span):
+        raise ValueError(f"time must be finite (got {t if t.ndim == 0 else 'a non-finite sample'})")
+    if span * max(1.0, abs(q2)) > MAX_ABS_TIME:
+        raise ValueError(
+            f"|t| * max(1, q2) <= {MAX_ABS_TIME:g} violated (got |t| = {span:g}, "
+            f"q2 = {q2:g}); the error-free phase reduction overflows past it"
+        )
+    n = np.asarray(n_values)
+    levels = _level_factors(n.dtype.str, n.tobytes())
+    if t.ndim == 0:
+        return _reduced_cycles(float(t), q2, levels)
+    flat = t.reshape(-1)
+    out = np.empty((flat.size, n.size))
+    step = max(1, _BLOCK_CELLS // max(1, n.size))
+    for i in range(0, flat.size, step):
+        out[i : i + step] = _reduced_cycles(flat[i : i + step], q2, levels)
+    return out.reshape(t.shape + (n.size,))
 
 
 def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EvolvedState:
@@ -232,13 +323,20 @@ def reconstruct(state: EvolvedState, x_grid) -> np.ndarray:
     return state.expansion.coefficients @ modes
 
 
+def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """|psi|^2 for each row of a (rows, levels) coefficient array; shape (rows, len(x))."""
+    re = coefficient_rows.real @ modes
+    im = coefficient_rows.imag @ modes
+    return re * re + im * im
+
+
 def position_density(state: EvolvedState, x_grid) -> np.ndarray:
     """|psi(x, t)|^2 at each grid point; nonnegative by construction."""
     xv = np.asarray(x_grid, dtype=float)
     if np.any(xv < 0.0) or np.any(xv > 1.0):
         raise ValueError("position grid leaves the box [0, 1]")
-    psi = reconstruct(state, xv)
-    return np.abs(psi) ** 2
+    modes = _mode_matrix(state.expansion.n_values, xv)
+    return _density_rows(state.expansion.coefficients[None, :], modes)[0]
 
 
 def fourier_amplitude(psi: np.ndarray, x_grid: np.ndarray, p_values) -> np.ndarray:
@@ -279,11 +377,15 @@ def momentum_amplitude(state: EvolvedState, p_grid, nx: int = TRANSFORM_X_POINTS
     return fourier_amplitude(psi, x, p)
 
 
-def autocorrelation(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> complex:
-    """Overlap sum |a_n|^2 e^{-i E_n t} between the initial and evolved state."""
+def autocorrelation(expansion: EigenExpansion, t, cfg: SystemConfig):
+    """Overlap sum |a_n|^2 e^{-i E_n t} between the initial and evolved state.
+
+    A float t gives a complex; an array of times gives a complex array of its shape.
+    """
     cycles = phase_cycles(t, cfg.q_squared, expansion.n_values)
     weights = np.abs(expansion.coefficients) ** 2
-    return complex(np.sum(weights * np.exp(-2j * math.pi * cycles)))
+    values = np.exp(-2j * math.pi * cycles) @ weights
+    return complex(values) if np.ndim(t) == 0 else values
 
 
 def trapezoid_mean_std(axis, density):

@@ -2,13 +2,18 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boxrevive import PacketSpec, SystemConfig
-from boxrevive.cli import GRID_DEFAULTS, run
+import boxrevive
+from boxrevive import PacketSpec, SystemConfig, sensitivity_reports, subplanck_dimension
+from boxrevive.cli import FMT, GRID_DEFAULTS, run
 
 
 def run_quiet(argv):
@@ -65,6 +70,23 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "marginal" in capsys.readouterr().err
+
+    def test_uncovered_momentum_grid_is_exit_two(self, tmp_path, capsys):
+        rc = run_quiet(["wigner", "--pmax", "10", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "|p_bar| + 6/delta_x" in capsys.readouterr().err
+
+    def test_time_past_phase_domain_is_exit_two(self, tmp_path):
+        src = str(Path(boxrevive.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxrevive.cli", "wigner", "--t", "1e300",
+             "--nx", "16", "--np", "16", "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "1e+200" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestArtifacts:
@@ -127,6 +149,25 @@ class TestArtifacts:
             "q_squared,time,delta_x,delta_p,action_A,dim_a,delta_ratio,fringe_spacing"
         )
         assert len(lines) == 3 + 2
+
+    def test_subplanck_fringe_rows_match_per_report_rebuild(self, tmp_path, ref_packet):
+        # Reference: every report built without the fringe, then rebuilt with it.
+        q2_list = [0.0, 2e-6]
+        rc = run_quiet(
+            ["subplanck", "--q2-list", "0,2e-6", "--mode", "short_time", "--fringe",
+             "--outdir", str(tmp_path)]
+        )
+        assert rc == 0
+        want = []
+        for report, delta in sensitivity_reports(ref_packet, q2_list, "short_time"):
+            r = subplanck_dimension(
+                ref_packet, SystemConfig(q_squared=report.q_squared), report.time,
+                with_fringe=True,
+            )
+            row = (r.q_squared, r.time, r.delta_x_eff, r.delta_p_eff, r.action_A, r.dim_a,
+                   delta, r.fringe_spacing)
+            want.append(",".join(FMT % v for v in row))
+        assert (tmp_path / "subplanck.csv").read_text().splitlines()[3:] == want
 
     def test_fidelity_peaks(self, tmp_path):
         rc = run_quiet(

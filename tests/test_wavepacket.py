@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from boxrevive import (
     momentum_amplitude,
     position_density,
 )
-from boxrevive.wavepacket import phase_cycles, reconstruct, trapezoid_mean_std
+from boxrevive.wavepacket import (
+    MAX_ABS_TIME,
+    MAX_LEVEL,
+    phase_cycles,
+    reconstruct,
+    trapezoid_mean_std,
+)
 
 # Packets drawn well clear of the walls, so the Gaussian ansatz captures the
 # norm to within the default truncation tolerance.
@@ -31,6 +38,48 @@ safe_packets = st.builds(
     delta_x=st.floats(0.04, 0.08),
     p_bar=st.floats(-60.0, 60.0),
 )
+
+
+def fraction_phase_cycles(t: float, q2: float, n_values) -> np.ndarray:
+    """Oracle: frac(t (n^2 - q2 n^4)) in exact rational arithmetic on the floats."""
+    tf = Fraction(t)
+    qf = Fraction(q2) if q2 else None
+    out = np.empty(len(n_values), dtype=float)
+    for i, n in enumerate(n_values):
+        n = int(n)
+        c = tf * (n * n)
+        if qf is not None:
+            c -= tf * qf * n**4
+        frac = float(c - math.floor(c))
+        out[i] = 0.0 if frac >= 1.0 else frac  # exact frac may round up to 1
+    return out
+
+
+def circular_error(a, b) -> float:
+    d = np.abs(np.asarray(a) - np.asarray(b))
+    return float(np.max(np.minimum(d, 1.0 - d)))
+
+
+PHASE_Q2 = [0.0, 1e-6, 6e-6, 1e-5, 5e-4]
+PHASE_TOL = 1e-15  # cycles
+
+
+@st.composite
+def phase_time(draw, q2):
+    """Negative times, [0, 1e5], windows at k/(4 q2) and magnitudes up to the bound."""
+    kind = draw(st.sampled_from(["negative", "range", "window", "large"]))
+    if kind == "negative":
+        return draw(st.floats(-1e5, 0.0))
+    if kind == "range":
+        return draw(st.floats(0.0, 1e5))
+    if kind == "window" and q2:
+        return draw(st.integers(1, 8)) / (4.0 * q2) + draw(st.floats(-1.0, 1.0))
+    return draw(st.floats(-MAX_ABS_TIME, MAX_ABS_TIME) | st.floats(1e5, MAX_ABS_TIME))
+
+
+def phase_cases(times):
+    """(q2, times) pairs; `times` maps q2 to a strategy built on phase_time."""
+    return st.sampled_from(PHASE_Q2).flatmap(lambda q2: st.tuples(st.just(q2), times(q2)))
 
 
 class TestExpansion:
@@ -132,6 +181,68 @@ class TestEvolution:
     def test_rejects_nonfinite_time(self, exp0, cfg0):
         with pytest.raises(ValueError):
             evolve(exp0, math.inf, cfg0)
+
+
+class TestPhaseReduction:
+    """The error-free float reduction against the exact Fraction oracle."""
+
+    @given(
+        case=phase_cases(phase_time),
+        n=st.lists(st.integers(1, 512), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, case, n):
+        q2, t = case
+        got = phase_cycles(t, q2, n)
+        assert np.all((got >= 0.0) & (got < 1.0))
+        assert circular_error(got, fraction_phase_cycles(t, q2, n)) <= PHASE_TOL
+
+    @given(case=phase_cases(lambda q2: st.lists(phase_time(q2), min_size=1, max_size=6)))
+    @settings(max_examples=60, deadline=None)
+    def test_array_of_times_matches_oracle_and_scalar_calls(self, case):
+        q2, times = case
+        t = np.array(times)
+        n = np.arange(1, 513, 37)
+        got = phase_cycles(t, q2, n)
+        assert got.shape == (len(t), len(n))
+        for row, ti in zip(got, t):
+            assert circular_error(row, fraction_phase_cycles(float(ti), q2, n)) <= PHASE_TOL
+            assert circular_error(row, phase_cycles(float(ti), q2, n)) <= PHASE_TOL
+
+    def test_time_array_shape_is_kept(self):
+        t = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+        got = phase_cycles(t, 1e-5, [3, 5, 7])
+        assert got.shape == (3, 4, 3)
+        assert np.array_equal(got[2, 1], phase_cycles(float(t[2, 1]), 1e-5, [3, 5, 7]))
+
+    def test_time_bound_is_inclusive(self):
+        got = phase_cycles(MAX_ABS_TIME, 0.0, [1, 512])
+        assert circular_error(got, fraction_phase_cycles(MAX_ABS_TIME, 0.0, [1, 512])) <= PHASE_TOL
+        got = phase_cycles(-MAX_ABS_TIME, 0.0, [MAX_LEVEL])
+        want = fraction_phase_cycles(-MAX_ABS_TIME, 0.0, [MAX_LEVEL])
+        assert circular_error(got, want) <= PHASE_TOL
+
+    @pytest.mark.parametrize("t", [np.nextafter(MAX_ABS_TIME, math.inf), -1e300])
+    def test_time_past_bound_rejected(self, t):
+        with pytest.raises(ValueError, match="1e\\+200"):
+            phase_cycles(t, 0.0, [1, 2])
+        with pytest.raises(ValueError, match="1e\\+200"):
+            phase_cycles(np.array([0.0, t]), 0.0, [1, 2])
+
+    def test_strength_enters_the_time_bound(self):
+        with pytest.raises(ValueError, match="max\\(1, q2\\)"):
+            phase_cycles(1e199, 20.0, [1])
+
+    def test_level_bound(self):
+        got = phase_cycles(0.5 + 2.0**-40, 1e-5, [MAX_LEVEL])
+        want = fraction_phase_cycles(0.5 + 2.0**-40, 1e-5, [MAX_LEVEL])
+        assert circular_error(got, want) <= PHASE_TOL
+        with pytest.raises(ValueError, match=f"{MAX_LEVEL}"):
+            phase_cycles(0.5, 1e-5, [3, MAX_LEVEL + 1])
+
+    def test_nonfinite_time_in_array_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            phase_cycles(np.array([0.0, math.nan]), 0.0, [1])
 
 
 class TestPositionDensity:
@@ -241,6 +352,19 @@ class TestAutocorrelation:
     def test_magnitude_bounded_by_norm(self, exp0, cfg0):
         for t in (0.1, 0.33, 0.77, 123.456):
             assert abs(autocorrelation(exp0, t, cfg0)) <= exp0.captured_norm + 1e-12
+
+    @given(
+        t=st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=8),
+        q2=st.sampled_from(PHASE_Q2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_array_of_times_matches_scalar_calls(self, exp0, t, q2):
+        cfg = SystemConfig(q2)
+        got = autocorrelation(exp0, np.array(t), cfg)
+        assert got.shape == (len(t),)
+        want = np.array([autocorrelation(exp0, ti, cfg) for ti in t])
+        assert isinstance(autocorrelation(exp0, t[0], cfg), complex)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_peak_sits_on_classical_comb(self, ref_packet, exp_weak, cfg_weak):
         """Near the shifted revival the best |A| peak is the classical
