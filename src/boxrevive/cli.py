@@ -1,18 +1,25 @@
 """Batch command-line front end.
 
 Subcommands: spectrum, carpet, wigner, subplanck, revivals, fidelity. Every
-run validates its configuration before any computation starts (violations exit
-with status 2 and a message naming the broken precondition), writes its CSV /
-PGM / JSON artifacts into the output directory, and records every resolved
-parameter, including defaults, in manifest.txt. Preconditions the library
-checks during the run (momentum-grid coverage, the time and level domain of
-the phase reduction) also exit with status 2. Numerical contract failures
-(truncation, row-norm and marginal-check breaches) exit with status 1.
+parameter is declared once, as a row of COMMON or of its subcommand's table in
+SUBCOMMANDS; the row gives its flag, config-file key, type, default, check and
+help. Every run writes its CSV / PGM / JSON artifacts into the output
+directory and records every resolved parameter, including defaults, in
+manifest.txt.
+
+Exit status 2 means a configuration error: a value that does not parse or
+fails its check, an output directory that cannot be created, or a
+precondition the library checks during the run (packet and system
+parameters, grid sizes and time windows, momentum-grid coverage, the time and
+level domain of the phase reduction); the message names the broken
+precondition. Numerical contract failures (truncation, row-norm and
+marginal-check breaches) exit with status 1.
 
 Flags may also be supplied through a key = value config file (any section
-names); explicit flags override file values. The BOXREVIVE_THREADS environment
-variable caps BLAS parallelism when threadpoolctl is available; results are
-identical either way.
+names). The key of flag --some-name is some_name (some-name is accepted too);
+a key that any subcommand declares is accepted, subcommands ignore keys they
+do not declare, and any other key is rejected. Explicit flags override file
+values.
 """
 
 from __future__ import annotations
@@ -21,29 +28,26 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
-import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .carpet import carpet
-from .fields import Field2D, write_field_csv, write_field_pgm
+from .carpet import DEFAULT_NT, DEFAULT_NX, carpet
+from .fields import FLOAT_FMT, write_field_csv, write_field_pgm
 from .revivals import enumerate_fractional, fidelity_scan
 from .spectrum import (
-    PerturbativeRegimeError,
     SystemConfig,
     energy_level,
     mean_quantum_number,
     spectrum_turnover,
     time_scales,
 )
-from .subplanck import MODES, evaluation_time, sensitivity_reports, subplanck_dimension
+from .subplanck import MODES, sensitivity_reports, subplanck_dimension
 from .wavepacket import PacketSpec, TruncationError, evolve, expand
-from .wigner import default_p_max, marginal_errors, wigner
+from .wigner import DEFAULT_GRID, default_p_max, marginal_errors, wigner
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -52,28 +56,92 @@ EXIT_CONFIG = 2
 MARGINAL_TOLERANCE = 1e-3
 ROW_NORM_TOLERANCE = 1e-4
 
-SUBCOMMANDS = ("spectrum", "carpet", "wigner", "subplanck", "revivals", "fidelity")
 
-# Resolved per-subcommand grid/time defaults; every entry lands in the manifest.
-GRID_DEFAULTS = {
-    "spectrum": {"nmax": 64},
-    "carpet": {"t0": 0.0, "t1": 0.5, "nt": 512, "nx": 512},
-    "wigner": {"t": 0.25, "nx": 256, "np": 256, "pmax": None},  # pmax None: derived
-    "subplanck": {"t": 0.25, "q2_list": None, "mode": "short_time", "fringe": 0},
-    "revivals": {"smax": 4},
-    "fidelity": {"t0": 0.9, "t1": 1.1, "nt": 2001},
-}
+class Param(NamedTuple):
+    """One parameter: flag --<name with hyphens>, config key and dest <name>.
 
-COMMON_DEFAULTS = {
-    "q2": 0.0,
-    "eps": 1e-6,
-    "nmax_cap": 512,
-    "xbar": 0.5,
-    "dx": 0.1,
-    "pbar": 50.0,
-    "nbar_override": None,
-    "outdir": ".",
-    "formats": "csv,pgm",
+    type parses the flag or file text. default is a value, or a function of
+    the PacketSpec for a default derived from the packet. check, when given,
+    is (predicate, requirement) and applies to parsed values.
+    """
+
+    name: str
+    type: Callable[[str], object]
+    default: object
+    check: tuple[Callable[[object], bool], str] | None
+    help: str
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _switch(text: str) -> int:
+    return int(bool(int(text)))
+
+
+AT_LEAST_0 = (lambda v: v >= 0.0, ">= 0")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+
+_SYSTEM = SystemConfig()
+
+COMMON = (
+    Param("q2", float, _SYSTEM.q_squared, None, "relativistic strength q^2 >= 0"),
+    Param("eps", float, _SYSTEM.truncation_epsilon, None, "truncation norm tolerance"),
+    Param("nmax_cap", int, _SYSTEM.n_max_cap, None, "basis size hard cap"),
+    Param("xbar", float, 0.5, None, "initial mean position in (0, 1)"),
+    Param("dx", float, 0.1, None, "packet width delta_x > 0"),
+    Param("pbar", float, 50.0, None, "mean momentum in hbar/L"),
+    Param("nbar_override", int, None, AT_LEAST_1, "override the derived mean quantum number"),
+    Param("outdir", Path, Path("."), None, "output directory"),
+    Param(
+        "formats", _names, ("csv", "pgm"),
+        (lambda v: set(v) <= {"csv", "pgm"}, "a subset of csv,pgm"), "comma subset of csv,pgm",
+    ),
+)
+
+# subcommand -> (help, parameter table); each table becomes the [grid] section.
+SUBCOMMANDS = {
+    "spectrum": ("energy table and derived time scales", (
+        Param("nmax", int, 64, AT_LEAST_1, "largest level in the energy table"),
+    )),
+    "carpet": ("space-time probability density", (
+        Param("t0", float, 0.0, None, "window start [T_rev]"),
+        Param("t1", float, 0.5, None, "window end [T_rev]"),
+        Param("nt", int, DEFAULT_NT, None, "time samples"),
+        Param("nx", int, DEFAULT_NX, None, "position samples"),
+    )),
+    "wigner": ("phase-space Wigner distribution", (
+        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev]"),
+        Param("nx", int, DEFAULT_GRID, None, "position samples"),
+        Param("np", int, DEFAULT_GRID, None, "momentum samples"),
+        Param("pmax", float, default_p_max, None, "momentum half-range (default |pbar| + 6/dx)"),
+    )),
+    "subplanck": ("sub-Planck action / dimension report", (
+        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev] (single-point run)"),
+        Param(
+            "q2_list", _floats, None,
+            (lambda v: bool(v) and all(q >= 0.0 for q in v), "a non-empty list of values >= 0"),
+            "comma list of q^2 values",
+        ),
+        Param(
+            "mode", str, MODES[0], (lambda v: v in MODES, "one of " + ", ".join(MODES)),
+            "sensitivity evaluation time rule: " + " or ".join(MODES),
+        ),
+        Param("fringe", _switch, 0, None, "measure fringe spacing"),
+    )),
+    "revivals": ("commensurate fractional revival predictions", (
+        Param("smax", int, 4, None, "largest denominator of the quartic clock"),
+    )),
+    "fidelity": ("|autocorrelation| scan with peak detection", (
+        Param("t0", float, 0.9, AT_LEAST_0, "scan start [T_rev]"),
+        Param("t1", float, 1.1, None, "scan end [T_rev]"),
+        Param("nt", int, 2001, None, "scan samples"),
+    )),
 }
 
 
@@ -103,62 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"boxrevive {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", type=str, help="key = value config file; flags override")
-        p.add_argument("--q2", type=float, help="relativistic strength q^2 >= 0")
-        p.add_argument("--eps", type=float, help="truncation norm tolerance")
-        p.add_argument("--nmax-cap", dest="nmax_cap", type=int, help="basis size hard cap")
-        p.add_argument("--xbar", type=float, help="initial mean position in (0, 1)")
-        p.add_argument("--dx", type=float, help="packet width delta_x > 0")
-        p.add_argument("--pbar", type=float, help="mean momentum in hbar/L")
-        p.add_argument(
-            "--nbar-override", dest="nbar_override", type=int,
-            help="override the derived mean quantum number",
-        )
-        p.add_argument("--outdir", type=str, help="output directory")
-        p.add_argument("--formats", type=str, help="comma subset of csv,pgm")
-
-    p = sub.add_parser("spectrum", help="energy table and derived time scales")
-    add_common(p)
-    p.add_argument("--nmax", type=int, help="largest level in the energy table")
-
-    p = sub.add_parser("carpet", help="space-time probability density")
-    add_common(p)
-    p.add_argument("--t0", type=float, help="window start [T_rev]")
-    p.add_argument("--t1", type=float, help="window end [T_rev]")
-    p.add_argument("--nt", type=int, help="time samples")
-    p.add_argument("--nx", type=int, help="position samples")
-
-    p = sub.add_parser("wigner", help="phase-space Wigner distribution")
-    add_common(p)
-    p.add_argument("--t", type=float, help="evaluation time [T_rev]")
-    p.add_argument("--nx", type=int, help="position samples")
-    p.add_argument("--np", type=int, help="momentum samples")
-    p.add_argument("--pmax", type=float, help="momentum half-range")
-
-    p = sub.add_parser("subplanck", help="sub-Planck action / dimension report")
-    add_common(p)
-    p.add_argument("--t", type=float, help="evaluation time [T_rev] (single-point run)")
-    p.add_argument("--q2-list", dest="q2_list", type=str, help="comma list of q^2 values")
-    p.add_argument("--mode", type=str, choices=MODES, help="sensitivity evaluation time rule")
-    p.add_argument("--fringe", action="store_const", const=1, help="measure fringe spacing")
-
-    p = sub.add_parser("revivals", help="commensurate fractional revival predictions")
-    add_common(p)
-    p.add_argument("--smax", type=int, help="largest denominator of the quartic clock")
-
-    p = sub.add_parser("fidelity", help="|autocorrelation| scan with peak detection")
-    add_common(p)
-    p.add_argument("--t0", type=float, help="scan start [T_rev]")
-    p.add_argument("--t1", type=float, help="scan end [T_rev]")
-    p.add_argument("--nt", type=int, help="scan samples")
-
+    for name, (help_text, table) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key = value config file; flags override")
+        for row in COMMON + table:
+            flag = "--" + row.name.replace("_", "-")
+            if row.type is _switch:
+                p.add_argument(flag, action="store_const", const="1", help=row.help)
+            else:
+                p.add_argument(flag, help=row.help)
     return parser
 
 
 def _load_config_file(path: str) -> dict:
-    known = set(COMMON_DEFAULTS) | {k for d in GRID_DEFAULTS.values() for k in d}
+    tables = (COMMON, *(table for _, table in SUBCOMMANDS.values()))
+    known = {row.name for table in tables for row in table}
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -173,159 +200,69 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, value, template):
-    if value is None or isinstance(value, (int, float)) or template is None:
-        return value
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
+def _parse(row: Param, text: str):
+    try:
+        value = row.type(text)
+    except ValueError as exc:
+        raise ValueError(f"{row.name}: {exc}") from None
+    if row.check is not None and not row.check[0](value):
+        raise ValueError(f"{row.name} must be {row.check[1]} (got {text})")
     return value
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file and flags into a validated RunConfig."""
-    from_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    """Merge defaults, config file and flags into a checked RunConfig."""
+    from_file = _load_config_file(args.config) if args.config else {}
 
-    def pick(key, default):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in from_file:
-            return _coerce(key, from_file[key], default)
-        return default
+    def resolve(table, packet=None) -> dict:
+        values = {}
+        for row in table:
+            text = getattr(args, row.name)
+            if text is None:
+                text = from_file.get(row.name)
+            if text is not None:
+                values[row.name] = _parse(row, text)
+            elif callable(row.default):
+                values[row.name] = row.default(packet)
+            else:
+                values[row.name] = row.default
+        return values
 
-    common = {k: pick(k, v) for k, v in COMMON_DEFAULTS.items()}
-    grid = {k: pick(k, v) for k, v in GRID_DEFAULTS[args.subcommand].items()}
-
+    common = resolve(COMMON)
     system = SystemConfig(
-        q_squared=float(common["q2"]),
-        truncation_epsilon=float(common["eps"]),
-        n_max_cap=int(common["nmax_cap"]),
+        q_squared=common["q2"],
+        truncation_epsilon=common["eps"],
+        n_max_cap=common["nmax_cap"],
     )
-    packet = PacketSpec(
-        x_bar=float(common["xbar"]),
-        delta_x=float(common["dx"]),
-        p_bar=float(common["pbar"]),
-    )
-    formats = tuple(f.strip() for f in str(common["formats"]).split(",") if f.strip())
-    for f in formats:
-        if f not in ("csv", "pgm"):
-            raise ValueError(f"formats must be a subset of csv,pgm (got {f!r})")
-
-    override = common["nbar_override"]
-    if override is not None:
-        override = int(override)
-        if override < 1:
-            raise ValueError(f"nbar_override must be a positive integer (got {override})")
-
-    cfg = RunConfig(
+    packet = PacketSpec(x_bar=common["xbar"], delta_x=common["dx"], p_bar=common["pbar"])
+    return RunConfig(
         subcommand=args.subcommand,
         system=system,
         packet=packet,
-        n_bar_override=override,
-        output_dir=Path(str(common["outdir"])),
-        formats=formats,
-        grid=grid,
+        n_bar_override=common["nbar_override"],
+        output_dir=common["outdir"],
+        formats=common["formats"],
+        grid=resolve(SUBCOMMANDS[args.subcommand][1], packet),
     )
-    _validate_grid(cfg)
-    return cfg
-
-
-def _validate_grid(cfg: RunConfig) -> None:
-    g = cfg.grid
-    sub = cfg.subcommand
-    if sub == "spectrum":
-        if g["nmax"] < 1:
-            raise ValueError(f"nmax must be >= 1 (got {g['nmax']})")
-        if cfg.n_bar() < 1:
-            raise ValueError(
-                f"n_bar >= 1 violated (round(p_bar/pi) = {cfg.n_bar()}); "
-                "set --pbar or --nbar-override"
-            )
-    elif sub == "carpet":
-        if not (g["t0"] >= 0.0 and g["t1"] >= g["t0"]):
-            raise ValueError(f"t1 >= t0 >= 0 violated (got [{g['t0']}, {g['t1']}])")
-        if g["nt"] < 1 or g["nx"] < 2:
-            raise ValueError(f"nt >= 1 and nx >= 2 violated (got nt={g['nt']}, nx={g['nx']})")
-    elif sub == "wigner":
-        if g["t"] < 0.0:
-            raise ValueError(f"t >= 0 violated (got {g['t']})")
-        if g["nx"] < 2 or g["np"] < 2:
-            raise ValueError(f"nx, np >= 2 violated (got nx={g['nx']}, np={g['np']})")
-        if g["pmax"] is None:
-            g["pmax"] = default_p_max(cfg.packet)
-    elif sub == "subplanck":
-        if g["t"] < 0.0:
-            raise ValueError(f"t >= 0 violated (got {g['t']})")
-        if g["q2_list"] is not None:
-            values = [float(v) for v in str(g["q2_list"]).split(",") if v.strip()]
-            if not values or any(v < 0.0 for v in values):
-                raise ValueError(f"q2_list values must be >= 0 (got {g['q2_list']})")
-            g["q2_list"] = ",".join(repr(v) for v in values)
-        if g["mode"] not in MODES:
-            raise ValueError(f"mode must be one of {MODES} (got {g['mode']!r})")
-        g["fringe"] = int(bool(g["fringe"]))
-    elif sub == "revivals":
-        if g["smax"] < 2:
-            raise ValueError(f"smax >= 2 violated (got {g['smax']})")
-        if cfg.system.q_squared <= 0.0:
-            raise ValueError("revivals requires q2 > 0 (super-revival clocks undefined)")
-        if cfg.n_bar() < 1:
-            raise ValueError(f"n_bar >= 1 violated (round(p_bar/pi) = {cfg.n_bar()})")
-    elif sub == "fidelity":
-        if not (g["t0"] >= 0.0 and g["t1"] > g["t0"]):
-            raise ValueError(f"t1 > t0 >= 0 violated (got [{g['t0']}, {g['t1']}])")
-        if g["nt"] < 3:
-            raise ValueError(f"nt >= 3 violated (got {g['nt']})")
-
-
-def _thread_cap():
-    """Resolve BOXREVIVE_THREADS and build the execution context.
-
-    Worker parallelism lives at the level of independent output elements
-    (rows, scan points); reductions must keep a fixed order so results are
-    byte-identical for every thread count. BLAS pools are therefore pinned to
-    a single thread for the duration of a run, and the environment variable
-    caps the row-level workers (the current evaluators are vectorized
-    in-process, so the cap is recorded but has nothing further to throttle).
-    """
-    raw = os.environ.get("BOXREVIVE_THREADS")
-    cap = None
-    if raw is not None:
-        try:
-            cap = int(raw)
-            if cap < 1:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"BOXREVIVE_THREADS must be a positive integer (got {raw!r})")
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return cap, threadpool_limits(limits=1)
-    except ImportError:
-        return cap, nullcontext()
-
-
-FMT = "%.12g"
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return FMT % value
+        return FLOAT_FMT % value
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     return str(value)
 
 
-def write_manifest(path: Path, cfg: RunConfig, derived: dict, threads) -> None:
+def write_manifest(path: Path, cfg: RunConfig, derived: dict) -> None:
     lines = ["[run]"]
     lines.append(f"tool = boxrevive {__version__}")
     lines.append(f"subcommand = {cfg.subcommand}")
     lines.append(f"output_dir = {cfg.output_dir}")
-    lines.append(f"formats = {','.join(cfg.formats)}")
+    lines.append(f"formats = {_fmt(cfg.formats)}")
     lines.append(f"n_bar_override = {_fmt(cfg.n_bar_override)}")
-    lines.append(f"threads = {_fmt(threads) if threads is not None else 'unlimited'}")
     lines.append("[system]")
     for f in dataclasses.fields(SystemConfig):
         lines.append(f"{f.name} = {_fmt(getattr(cfg.system, f.name))}")
@@ -359,7 +296,7 @@ def _expansion_derived(expansion) -> dict:
 def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
     n_bar = cfg.n_bar()
     ts = time_scales(n_bar, cfg.system)
-    rows = [(n, energy_level(n, cfg.system)) for n in range(1, int(cfg.grid["nmax"]) + 1)]
+    rows = [(n, energy_level(n, cfg.system)) for n in range(1, cfg.grid["nmax"] + 1)]
     if "csv" in cfg.formats:
         _write_table_csv(
             out / "spectrum.csv",
@@ -395,8 +332,8 @@ def _run_carpet(cfg: RunConfig, out: Path) -> dict:
         cfg.packet,
         cfg.system,
         (g["t0"], g["t1"]),
-        nt=int(g["nt"]),
-        nx=int(g["nx"]),
+        nt=g["nt"],
+        nx=g["nx"],
     )
     norms = np.trapezoid(field.values, field.axis2, axis=1)
     row_err = float(np.max(np.abs(norms - field.meta["captured_norm"])))
@@ -428,8 +365,8 @@ class MarginalError(RuntimeError):
 def _run_wigner(cfg: RunConfig, out: Path) -> dict:
     g = cfg.grid
     expansion = expand(cfg.packet, cfg.system)
-    state = evolve(expansion, float(g["t"]), cfg.system)
-    field = wigner(state, nx=int(g["nx"]), n_p=int(g["np"]), p_max=float(g["pmax"]))
+    state = evolve(expansion, g["t"], cfg.system)
+    field = wigner(state, nx=g["nx"], n_p=g["np"], p_max=g["pmax"])
     x_err, p_err = marginal_errors(field, state)
     if max(x_err, p_err) > MARGINAL_TOLERANCE:
         raise MarginalError(
@@ -459,9 +396,8 @@ def _run_subplanck(cfg: RunConfig, out: Path) -> dict:
     ]
     rows = []
     if g["q2_list"] is not None:
-        q2_values = [float(v) for v in str(g["q2_list"]).split(",")]
         pairs = sensitivity_reports(
-            cfg.packet, q2_values, g["mode"], cfg.system, with_fringe=with_fringe
+            cfg.packet, g["q2_list"], g["mode"], cfg.system, with_fringe=with_fringe
         )
         for report, delta in pairs:
             rows.append(
@@ -469,7 +405,7 @@ def _run_subplanck(cfg: RunConfig, out: Path) -> dict:
                  report.action_A, report.dim_a, delta, report.fringe_spacing)
             )
     else:
-        report = subplanck_dimension(cfg.packet, cfg.system, float(g["t"]), with_fringe)
+        report = subplanck_dimension(cfg.packet, cfg.system, g["t"], with_fringe)
         rows.append(
             (report.q_squared, report.time, report.delta_x_eff, report.delta_p_eff,
              report.action_A, report.dim_a, None, report.fringe_spacing)
@@ -487,12 +423,12 @@ def _run_subplanck(cfg: RunConfig, out: Path) -> dict:
 
 def _run_revivals(cfg: RunConfig, out: Path) -> dict:
     n_bar = cfg.n_bar()
-    predictions = enumerate_fractional(n_bar, cfg.system, int(cfg.grid["smax"]))
+    predictions = enumerate_fractional(n_bar, cfg.system, cfg.grid["smax"])
     ts = time_scales(n_bar, cfg.system)
     payload = {
         "q_squared": cfg.system.q_squared,
         "n_bar": n_bar,
-        "s_max": int(cfg.grid["smax"]),
+        "s_max": cfg.grid["smax"],
         "t_sr3": ts.t_sr3,
         "t_sr4": ts.t_sr4,
         "predictions": [dataclasses.asdict(p) for p in predictions],
@@ -503,9 +439,11 @@ def _run_revivals(cfg: RunConfig, out: Path) -> dict:
 
 def _run_fidelity(cfg: RunConfig, out: Path) -> dict:
     g = cfg.grid
+    if not g["t1"] > g["t0"]:
+        raise ValueError(f"t1 > t0 violated (got [{g['t0']}, {g['t1']}])")
     expansion = expand(cfg.packet, cfg.system)
     scan = fidelity_scan(
-        cfg.packet, cfg.system, (g["t0"], g["t1"]), int(g["nt"]), expansion=expansion
+        cfg.packet, cfg.system, (g["t0"], g["t1"]), g["nt"], expansion=expansion
     )
     if "csv" in cfg.formats:
         _write_table_csv(
@@ -546,23 +484,21 @@ def run(argv) -> int:
 
     try:
         cfg = resolve_config(args)
-        threads, limiter = _thread_cap()
-    except (ValueError, PerturbativeRegimeError) as exc:
-        print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        with limiter:
-            derived = RUNNERS[cfg.subcommand](cfg, cfg.output_dir)
-    except (ValueError, PerturbativeRegimeError) as exc:
+        try:
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"output directory {cfg.output_dir} cannot be created ({exc.strerror})"
+            ) from None
+        derived = RUNNERS[cfg.subcommand](cfg, cfg.output_dir)
+    except ValueError as exc:
         print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TruncationError, RowNormError, MarginalError) as exc:
         print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    write_manifest(cfg.output_dir / "manifest.txt", cfg, derived, threads)
+    write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
     return EXIT_OK
 
 

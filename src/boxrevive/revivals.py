@@ -23,7 +23,7 @@ from .wavepacket import EigenExpansion, PacketSpec, autocorrelation, expand
 
 PEAK_THRESHOLD = 0.8  # fraction of the captured norm a peak must reach
 
-RevivalKind = Literal["classical", "revival", "super3", "super4"]
+RevivalKind = Literal["super4"]
 
 
 @dataclass(frozen=True)

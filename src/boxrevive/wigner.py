@@ -78,9 +78,9 @@ def wigner(
 ) -> WignerField:
     """Evaluate the Wigner distribution on an nx-by-n_p grid.
 
-    The x grid spans [0, 1]; the p grid spans [-p_max, p_max] and must cover
-    the packet's momentum content (|p_bar| + 6/delta_x) or a CoverageError is
-    raised.
+    The x grid spans [0, 1]; the p grid spans [-p_max, p_max] with a finite
+    p_max that must cover the packet's momentum content (|p_bar| + 6/delta_x)
+    or a CoverageError is raised.
     """
     if nx < 2 or n_p < 2:
         raise ValueError(f"grid must have nx, n_p >= 2 (got {nx}, {n_p})")
@@ -88,6 +88,8 @@ def wigner(
     need = default_p_max(packet)
     if p_max is None:
         p_max = need
+    if not math.isfinite(p_max):
+        raise ValueError(f"p_max must be finite (got {p_max})")
     if p_max < need - 1e-9:
         raise CoverageError(
             f"p grid reaches |p| = {p_max:.6g} but |p_bar| + 6/delta_x = {need:.6g} is required"

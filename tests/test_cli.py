@@ -1,8 +1,8 @@
 """Command-line contract: exit codes, artifacts, manifests, determinism."""
 
-import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +13,7 @@ import pytest
 
 import boxrevive
 from boxrevive import PacketSpec, SystemConfig, sensitivity_reports, subplanck_dimension
-from boxrevive.cli import FMT, GRID_DEFAULTS, run
+from boxrevive.cli import run
 
 
 def run_quiet(argv):
@@ -22,13 +22,75 @@ def run_quiet(argv):
         return run(argv)
 
 
-def manifest_entries(path):
+def manifest_entries(path, section=None):
     out = {}
+    current = None
     for line in path.read_text().splitlines():
-        if "=" in line:
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif "=" in line and section in (None, current):
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
+
+
+def run_process(argv):
+    """Run the CLI as its own process; returns (exit code, stderr)."""
+    src = str(Path(boxrevive.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxrevive.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+# A non-default value for every parameter, spelled as the manifest prints it.
+COMMON_VALUES = {
+    "q2": "1e-05", "eps": "1e-07", "nmax_cap": "400", "xbar": "0.45", "dx": "0.09",
+    "pbar": "47", "nbar_override": "15", "formats": "csv",
+}
+GRID_VALUES = {
+    "spectrum": {"nmax": "8"},
+    "carpet": {"t0": "0.1", "t1": "0.2", "nt": "4", "nx": "64"},
+    "wigner": {"t": "0", "nx": "32", "np": "64", "pmax": "120"},
+    "subplanck": {"t": "0.5", "q2_list": "2e-06,1e-05", "mode": "super_revival", "fringe": "1"},
+    "revivals": {"smax": "3"},
+    "fidelity": {"t0": "0.95", "t1": "1.05", "nt": "11"},
+}
+MANIFEST_KEY = {
+    "q2": "q_squared", "eps": "truncation_epsilon", "nmax_cap": "n_max_cap", "xbar": "x_bar",
+    "dx": "delta_x", "pbar": "p_bar", "nbar_override": "n_bar_override", "outdir": "output_dir",
+}
+
+
+@pytest.fixture(scope="module")
+def round_trip(tmp_path_factory):
+    """Per subcommand: the given values, the manifest of a run with every
+    parameter as a flag and of a run with every parameter from a config file,
+    and the keys of that last manifest's [grid] section."""
+    cache = {}
+
+    def manifests(sub):
+        if sub not in cache:
+            out = tmp_path_factory.mktemp(sub)
+            manifest = out / "manifest.txt"
+            values = {**COMMON_VALUES, "outdir": str(out), **GRID_VALUES[sub]}
+            flags = []
+            for key, text in values.items():
+                flag = "--" + key.replace("_", "-")
+                flags += [flag] if key == "fringe" else [flag, text]
+            assert run_quiet([sub, *flags]) == 0
+            by_flag = manifest_entries(manifest)
+            manifest.unlink()
+            cfgfile = tmp_path_factory.mktemp("cfg") / "run.cfg"
+            cfgfile.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+            assert run_quiet([sub, "--config", str(cfgfile)]) == 0
+            grid_keys = set(manifest_entries(manifest, "grid"))
+            cache[sub] = values, by_flag, manifest_entries(manifest), grid_keys
+        return cache[sub]
+
+    return manifests
 
 
 class TestExitCodes:
@@ -77,16 +139,29 @@ class TestExitCodes:
         assert "|p_bar| + 6/delta_x" in capsys.readouterr().err
 
     def test_time_past_phase_domain_is_exit_two(self, tmp_path):
-        src = str(Path(boxrevive.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "boxrevive.cli", "wigner", "--t", "1e300",
-             "--nx", "16", "--np", "16", "--outdir", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
+        rc, err = run_process(
+            ["wigner", "--t", "1e300", "--nx", "16", "--np", "16", "--outdir", str(tmp_path)]
         )
-        assert proc.returncode == 2
-        assert "1e+200" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert rc == 2
+        assert "1e+200" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pmax", ["nan", "inf"])
+    def test_non_finite_pmax_is_exit_two(self, tmp_path, capsys, pmax):
+        rc = run_quiet(
+            ["wigner", "--pmax", pmax, "--nx", "16", "--np", "16", "--outdir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "p_max" in capsys.readouterr().err
+        assert not (tmp_path / "wigner.csv").exists()
+
+    def test_outdir_that_is_a_file_is_exit_two(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc, err = run_process(["carpet", "--nt", "4", "--nx", "32", "--outdir", str(taken)])
+        assert rc == 2
+        assert f"output directory {taken}" in err
+        assert "Traceback" not in err
 
 
 class TestArtifacts:
@@ -166,7 +241,7 @@ class TestArtifacts:
             )
             row = (r.q_squared, r.time, r.delta_x_eff, r.delta_p_eff, r.action_A, r.dim_a,
                    delta, r.fringe_spacing)
-            want.append(",".join(FMT % v for v in row))
+            want.append(",".join("%.12g" % v for v in row))
         assert (tmp_path / "subplanck.csv").read_text().splitlines()[3:] == want
 
     def test_fidelity_peaks(self, tmp_path):
@@ -187,10 +262,10 @@ class TestManifest:
         )
         assert rc == 0
         entries = manifest_entries(tmp_path / "manifest.txt")
-        expected = {"tool", "subcommand", "output_dir", "formats", "n_bar_override", "threads"}
-        expected |= {f.name for f in dataclasses.fields(SystemConfig)}
-        expected |= {f.name for f in dataclasses.fields(PacketSpec)}
-        expected |= set(GRID_DEFAULTS["wigner"])
+        expected = {"tool", "subcommand", "output_dir", "formats", "n_bar_override"}
+        expected |= {"q_squared", "truncation_epsilon", "n_max_cap"}
+        expected |= {"x_bar", "delta_x", "p_bar"}
+        expected |= {"t", "nx", "np", "pmax"}
         missing = expected - set(entries)
         assert not missing, f"manifest lacks {missing}"
 
@@ -230,6 +305,35 @@ class TestConfigFile:
         rc = run_quiet(["carpet", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
 
+    @pytest.mark.parametrize("sub, text, flags, key", [
+        ("carpet", "[grid]\nnt = abc\n", [], "nt"),
+        ("subplanck", "[grid]\nfringe = yes\n", [], "fringe"),
+        ("carpet", "[run]\nnbar-override = x\n", [], "nbar_override"),
+        ("subplanck", None, ["--q2-list", "1e-5,abc"], "q2_list"),
+    ], ids=["nt", "fringe", "nbar-override", "q2-list"])
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys, sub, text, flags, key):
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text)
+            flags = flags + ["--config", str(tmp_path / "run.cfg")]
+        rc = run_quiet([sub, *flags, "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key}\b", err), err
+        assert "unknown config key" not in err
+
+    @pytest.mark.parametrize("sub, key", [
+        (sub, key) for sub in GRID_VALUES for key in (*COMMON_VALUES, "outdir", *GRID_VALUES[sub])
+    ])
+    def test_every_parameter_round_trips_through_file(self, round_trip, sub, key):
+        values, by_flag, by_file, _ = round_trip(sub)
+        entry = MANIFEST_KEY.get(key, key)
+        assert by_file[entry] == by_flag[entry] == values[key]
+
+    @pytest.mark.parametrize("sub", GRID_VALUES)
+    def test_grid_section_holds_the_subcommand_parameters(self, round_trip, sub):
+        # The round trip covers every parameter only if GRID_VALUES is complete.
+        assert round_trip(sub)[3] == set(GRID_VALUES[sub])
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -239,20 +343,3 @@ class TestDeterminism:
         assert run_quiet(args + ["--outdir", str(b)]) == 0
         assert (a / "carpet.csv").read_bytes() == (b / "carpet.csv").read_bytes()
         assert (a / "carpet.pgm").read_bytes() == (b / "carpet.pgm").read_bytes()
-
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ["wigner", "--t", "0.25", "--nx", "64", "--np", "64"]
-        outs = []
-        for cap, sub in (("1", "t1"), ("4", "t4")):
-            monkeypatch.setenv("BOXREVIVE_THREADS", cap)
-            out = tmp_path / sub
-            assert run_quiet(args + ["--outdir", str(out)]) == 0
-            outs.append((out / "wigner.csv").read_bytes())
-            entries = manifest_entries(out / "manifest.txt")
-            assert entries["threads"] == cap
-        assert outs[0] == outs[1]
-
-    def test_invalid_thread_cap_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BOXREVIVE_THREADS", "zero")
-        rc = run_quiet(["spectrum", "--outdir", str(tmp_path)])
-        assert rc == 2

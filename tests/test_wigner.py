@@ -176,6 +176,11 @@ class TestQuadrature:
         with pytest.raises(CoverageError):
             wigner(cat_state, p_max=60.0)
 
+    @pytest.mark.parametrize("p_max", [math.nan, math.inf])
+    def test_non_finite_p_max_rejected(self, cat_state, p_max):
+        with pytest.raises(ValueError, match="p_max must be finite"):
+            wigner(cat_state, nx=16, n_p=16, p_max=p_max)
+
     def test_x_marginal_tracks_density_pointwise(self, cat_wigner, cat_state):
         rho = position_density(cat_state, cat_wigner.x_axis)
         marg = np.trapezoid(cat_wigner.values, cat_wigner.p_axis, axis=1)
