@@ -23,12 +23,12 @@ from boxrevive import (
     SystemConfig,
     evolve,
     expand,
+    parity_mirror,
     wigner,
     wigner_overlap,
     write_field_csv,
     write_field_pgm,
 )
-from boxrevive.wigner import WignerField
 
 CASES = [
     ("a_cat", 0.0, 0.25),
@@ -36,12 +36,6 @@ CASES = [
     ("c_moderate", 5e-4, 0.25),
     ("d_super", 5e-4, 500.0),
 ]
-
-
-def mirrored(f):
-    return WignerField(
-        f.x_axis, f.p_axis, f.values[::-1, ::-1], f.time, f.captured_norm
-    )
 
 
 def main():
@@ -68,7 +62,7 @@ def main():
     ref = fields["a_cat"]
     for tag in ("b_weak", "c_moderate", "d_super"):
         raw = wigner_overlap(fields[tag], ref)
-        mir = wigner_overlap(mirrored(fields[tag]), ref)
+        mir = wigner_overlap(parity_mirror(fields[tag]), ref)
         print(f"overlap({tag}, a_cat) = {raw:+.4f}   mirrored: {mir:+.4f}")
     print(f"wrote {2 * len(CASES)} files to {args.outdir}")
 

@@ -50,6 +50,7 @@ from .wigner import (
     fringe_spacing,
     marginal_errors,
     negativity_volume,
+    parity_mirror,
     wigner,
     wigner_overlap,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "mean_quantum_number",
     "momentum_amplitude",
     "negativity_volume",
+    "parity_mirror",
     "position_density",
     "read_field_csv",
     "sensitivity_curve",

@@ -3,9 +3,9 @@
 Subcommands: spectrum, carpet, wigner, subplanck, revivals, fidelity. Every
 parameter is declared once, as a row of COMMON or of its subcommand's table in
 SUBCOMMANDS; the row gives its flag, config-file key, type, default, check and
-help. Every run writes its CSV / PGM / JSON artifacts into the output
-directory and records every resolved parameter, including defaults, in
-manifest.txt.
+help. Every run computes first, then makes the output directory and writes its
+CSV / PGM / JSON artifacts there, recording every resolved parameter,
+including defaults, in manifest.txt; a run that fails makes no directory.
 
 Exit status 2 means a configuration error: a value that does not parse or
 fails its check, an output directory that cannot be created, or a
@@ -278,11 +278,15 @@ def write_manifest(path: Path, cfg: RunConfig, derived: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_table_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
+# Artifact file name -> writer; a runner computes everything before run() writes.
+Artifacts = dict[str, Callable[[Path], None]]
+
+
+def _table_csv(header: list[str], columns: list[str], rows) -> Callable[[Path], None]:
     lines = [f"# {header[0]}", f"# {header[1]}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return lambda path: path.write_text("\n".join(lines) + "\n")
 
 
 def _expansion_derived(expansion) -> dict:
@@ -293,13 +297,13 @@ def _expansion_derived(expansion) -> dict:
     }
 
 
-def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
+def _run_spectrum(cfg: RunConfig) -> tuple[dict, Artifacts]:
     n_bar = cfg.n_bar()
     ts = time_scales(n_bar, cfg.system)
     rows = [(n, energy_level(n, cfg.system)) for n in range(1, cfg.grid["nmax"] + 1)]
+    artifacts = {}
     if "csv" in cfg.formats:
-        _write_table_csv(
-            out / "spectrum.csv",
+        artifacts["spectrum.csv"] = _table_csv(
             ["energy levels E_n [hbar^2/(m L^2)]", "n = 1 .. nmax"],
             ["n", "energy"],
             rows,
@@ -313,8 +317,7 @@ def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
             ("t_sr3", ts.t_sr3),
             ("t_sr4", ts.t_sr4),
         ]
-        _write_table_csv(
-            out / "timescales.csv",
+        artifacts["timescales.csv"] = _table_csv(
             ["derived periods [T_rev]", "empty value: scale absent at q2 = 0"],
             ["name", "value"],
             scale_rows,
@@ -323,10 +326,10 @@ def _run_spectrum(cfg: RunConfig, out: Path) -> dict:
         "n_bar": n_bar,
         "spectrum_turnover": spectrum_turnover(cfg.system),
         "t_sr4": ts.t_sr4,
-    }
+    }, artifacts
 
 
-def _run_carpet(cfg: RunConfig, out: Path) -> dict:
+def _run_carpet(cfg: RunConfig) -> tuple[dict, Artifacts]:
     g = cfg.grid
     field = carpet(
         cfg.packet,
@@ -341,17 +344,18 @@ def _run_carpet(cfg: RunConfig, out: Path) -> dict:
         raise RowNormError(
             f"carpet row norm drifts by {row_err:.3g} > {ROW_NORM_TOLERANCE:g}"
         )
+    artifacts = {}
     if "csv" in cfg.formats:
-        write_field_csv(out / "carpet.csv", field)
+        artifacts["carpet.csv"] = lambda path: write_field_csv(path, field)
     if "pgm" in cfg.formats:
-        write_field_pgm(out / "carpet.pgm", field, signed=False, gamma=0.5)
+        artifacts["carpet.pgm"] = lambda path: write_field_pgm(path, field, signed=False, gamma=0.5)
     return {
         "captured_norm": field.meta["captured_norm"],
         "n_min": field.meta["n_min"],
         "n_max": field.meta["n_max"],
         "n_bar": cfg.n_bar(),
         "row_norm_max_error": row_err,
-    }
+    }, artifacts
 
 
 class RowNormError(RuntimeError):
@@ -362,7 +366,7 @@ class MarginalError(RuntimeError):
     pass
 
 
-def _run_wigner(cfg: RunConfig, out: Path) -> dict:
+def _run_wigner(cfg: RunConfig) -> tuple[dict, Artifacts]:
     g = cfg.grid
     expansion = expand(cfg.packet, cfg.system)
     state = evolve(expansion, g["t"], cfg.system)
@@ -374,20 +378,21 @@ def _run_wigner(cfg: RunConfig, out: Path) -> dict:
             f"{MARGINAL_TOLERANCE:g}"
         )
     f2d = field.to_field2d()
+    artifacts = {}
     if "csv" in cfg.formats:
-        write_field_csv(out / "wigner.csv", f2d)
+        artifacts["wigner.csv"] = lambda path: write_field_csv(path, f2d)
     if "pgm" in cfg.formats:
-        write_field_pgm(out / "wigner.pgm", f2d, signed=True)
+        artifacts["wigner.pgm"] = lambda path: write_field_pgm(path, f2d, signed=True)
     return {
         **_expansion_derived(expansion),
         "n_bar": cfg.n_bar(),
         "marginal_error_x": x_err,
         "marginal_error_p": p_err,
         "min_value": float(np.min(field.values)),
-    }
+    }, artifacts
 
 
-def _run_subplanck(cfg: RunConfig, out: Path) -> dict:
+def _run_subplanck(cfg: RunConfig) -> tuple[dict, Artifacts]:
     g = cfg.grid
     with_fringe = bool(g["fringe"])
     columns = [
@@ -410,18 +415,18 @@ def _run_subplanck(cfg: RunConfig, out: Path) -> dict:
             (report.q_squared, report.time, report.delta_x_eff, report.delta_p_eff,
              report.action_A, report.dim_a, None, report.fringe_spacing)
         )
+    artifacts = {}
     if "csv" in cfg.formats:
-        _write_table_csv(
-            out / "subplanck.csv",
+        artifacts["subplanck.csv"] = _table_csv(
             ["sub-Planck diagnostics (hbar units; times in T_rev)",
              "delta_ratio = dim_a / dim_a(q2=0, t=0.25); empty when not applicable"],
             columns,
             rows,
         )
-    return {"n_bar": cfg.n_bar(), "rows": len(rows)}
+    return {"n_bar": cfg.n_bar(), "rows": len(rows)}, artifacts
 
 
-def _run_revivals(cfg: RunConfig, out: Path) -> dict:
+def _run_revivals(cfg: RunConfig) -> tuple[dict, Artifacts]:
     n_bar = cfg.n_bar()
     predictions = enumerate_fractional(n_bar, cfg.system, cfg.grid["smax"])
     ts = time_scales(n_bar, cfg.system)
@@ -433,11 +438,12 @@ def _run_revivals(cfg: RunConfig, out: Path) -> dict:
         "t_sr4": ts.t_sr4,
         "predictions": [dataclasses.asdict(p) for p in predictions],
     }
-    (out / "revivals.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return {"n_bar": n_bar, "predictions": len(predictions)}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    artifacts = {"revivals.json": lambda path: path.write_text(text)}
+    return {"n_bar": n_bar, "predictions": len(predictions)}, artifacts
 
 
-def _run_fidelity(cfg: RunConfig, out: Path) -> dict:
+def _run_fidelity(cfg: RunConfig) -> tuple[dict, Artifacts]:
     g = cfg.grid
     if not g["t1"] > g["t0"]:
         raise ValueError(f"t1 > t0 violated (got [{g['t0']}, {g['t1']}])")
@@ -445,15 +451,14 @@ def _run_fidelity(cfg: RunConfig, out: Path) -> dict:
     scan = fidelity_scan(
         cfg.packet, cfg.system, (g["t0"], g["t1"]), g["nt"], expansion=expansion
     )
+    artifacts = {}
     if "csv" in cfg.formats:
-        _write_table_csv(
-            out / "fidelity.csv",
+        artifacts["fidelity.csv"] = _table_csv(
             ["|autocorrelation| versus time [T_rev]", f"captured_norm = {scan.captured_norm!r}"],
             ["t", "fidelity"],
             zip(scan.times, scan.values),
         )
-        _write_table_csv(
-            out / "fidelity_peaks.csv",
+        artifacts["fidelity_peaks.csv"] = _table_csv(
             ["refined local maxima above 0.8 * captured_norm", "parabolic sub-grid refinement"],
             ["t", "fidelity"],
             scan.peaks,
@@ -462,7 +467,7 @@ def _run_fidelity(cfg: RunConfig, out: Path) -> dict:
         **_expansion_derived(expansion),
         "n_bar": cfg.n_bar(),
         "peak_count": len(scan.peaks),
-    }
+    }, artifacts
 
 
 RUNNERS = {
@@ -484,13 +489,13 @@ def run(argv) -> int:
 
     try:
         cfg = resolve_config(args)
+        derived, artifacts = RUNNERS[cfg.subcommand](cfg)
         try:
             cfg.output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(
                 f"output directory {cfg.output_dir} cannot be created ({exc.strerror})"
             ) from None
-        derived = RUNNERS[cfg.subcommand](cfg, cfg.output_dir)
     except ValueError as exc:
         print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -498,6 +503,8 @@ def run(argv) -> int:
         print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    for name, write in artifacts.items():
+        write(cfg.output_dir / name)
     write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
     return EXIT_OK
 

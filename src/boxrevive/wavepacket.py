@@ -42,7 +42,6 @@ from .spectrum import (
 
 DEFAULT_X_POINTS = 1024
 DEFAULT_P_POINTS = 1024
-TRANSFORM_X_POINTS = 2048
 STABLE_TAIL_TERMS = 3
 
 # Domain of the error-free phase reduction (see phase_cycles).
@@ -339,14 +338,23 @@ def position_density(state: EvolvedState, x_grid) -> np.ndarray:
     return _density_rows(state.expansion.coefficients[None, :], modes)[0]
 
 
-def fourier_amplitude(psi: np.ndarray, x_grid: np.ndarray, p_values) -> np.ndarray:
-    """phi(p) = (2 pi)^(-1/2) integral psi(x) e^{-ipx} dx by trapezoid quadrature."""
-    x = np.asarray(x_grid, float)
-    w = np.full(len(x), x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    kernel = np.exp(-1j * np.outer(np.asarray(p_values, float), x))
-    return kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
+def fourier_amplitude(coefficients, n_values, p_values) -> np.ndarray:
+    """phi(p) = (2 pi)^(-1/2) integral_0^1 psi(x) e^{-ipx} dx, psi = sum_n a_n sqrt(2) sin(n pi x).
+
+    Each level transforms in closed form. With k = n pi, s = sign(p) (+1 at
+    p = 0), d = p - s k and sinc(u) = sin(u)/u,
+
+        integral_0^1 sin(kx) e^{-ipx} dx = -i s k e^{-id/2} sinc(d/2) / (k + s p).
+
+    The denominator k + |p| never vanishes and nothing cancels at p = +/- n pi,
+    so phi is one (levels x momenta) product with no quadrature error.
+    """
+    p = np.asarray(p_values, dtype=float)
+    k = math.pi * np.asarray(n_values, dtype=float)[:, None]
+    s = np.where(p < 0.0, -1.0, 1.0)
+    d = p - s * k
+    modes = s * k * np.exp(-0.5j * d) * np.sinc(d / (2.0 * math.pi)) / (k + np.abs(p))
+    return (-1j / math.sqrt(math.pi)) * (np.asarray(coefficients) @ modes)
 
 
 def default_momentum_grid(packet: PacketSpec, n_points: int = DEFAULT_P_POINTS) -> np.ndarray:
@@ -355,8 +363,8 @@ def default_momentum_grid(packet: PacketSpec, n_points: int = DEFAULT_P_POINTS) 
     return np.linspace(-p_max, p_max, n_points)
 
 
-def momentum_amplitude(state: EvolvedState, p_grid, nx: int = TRANSFORM_X_POINTS) -> np.ndarray:
-    """Momentum amplitude phi(p) of the zero-extended wave function.
+def momentum_amplitude(state: EvolvedState, p_grid) -> np.ndarray:
+    """Momentum amplitude phi(p) of the zero-extended wave function (see fourier_amplitude).
 
     The p grid must be symmetric about 0 and reach at least
     |p_bar| + 6/delta_x on both sides, so that sum |phi|^2 dp recovers the
@@ -372,9 +380,7 @@ def momentum_amplitude(state: EvolvedState, p_grid, nx: int = TRANSFORM_X_POINTS
         raise CoverageError(
             f"momentum grid reaches |p| = {span:.6g} but |p_bar| + 6/delta_x = {need:.6g} is required"
         )
-    x = np.linspace(0.0, 1.0, nx)
-    psi = reconstruct(state, x)
-    return fourier_amplitude(psi, x, p)
+    return fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, p)
 
 
 def autocorrelation(expansion: EigenExpansion, t, cfg: SystemConfig):

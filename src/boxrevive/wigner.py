@@ -14,7 +14,7 @@ because the fine lattice oversamples its highest frequency by far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class WignerField:
     values: np.ndarray
     time: float
     captured_norm: float
-    quadrature_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("x_axis", "p_axis", "values"):
@@ -129,12 +128,6 @@ def wigner(
         values=values,
         time=state.time,
         captured_norm=state.expansion.captured_norm,
-        quadrature_meta={
-            "fine_step": h,
-            "fine_points": nf + 1,
-            "half_range_max": j_max * h,
-            "oversample": m,
-        },
     )
 
 
@@ -147,6 +140,14 @@ def wigner_overlap(a: WignerField, b: WignerField) -> float:
     num = float(np.sum(a.values * b.values))
     den = math.sqrt(float(np.sum(a.values**2)) * float(np.sum(b.values**2)))
     return num / den
+
+
+def parity_mirror(f: WignerField) -> WignerField:
+    """The field reflected through the grid centre: values[i, j] -> values[-1-i, -1-j].
+
+    On the grids `wigner` builds this is x -> 1 - x, p -> -p.
+    """
+    return replace(f, values=f.values[::-1, ::-1])
 
 
 def negativity_volume(f: WignerField) -> float:
@@ -167,13 +168,11 @@ def momentum_marginal(f: WignerField) -> np.ndarray:
 def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     """Sup-norm mismatch of both marginals against the direct densities.
 
-    The reference momentum density uses the same fine-grid trapezoid Fourier
-    transform as the Wigner construction itself.
+    The reference momentum density is the closed-form transform of the state's
+    coefficients, independent of the discrete sums the field is built from.
     """
     x_err = float(np.max(np.abs(position_marginal(f) - _density_on(state, f.x_axis))))
-    nf = int(f.quadrature_meta.get("fine_points", 2049))
-    x_fine = np.linspace(0.0, 1.0, nf)
-    phi = fourier_amplitude(reconstruct(state, x_fine), x_fine, f.p_axis)
+    phi = fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, f.p_axis)
     p_err = float(np.max(np.abs(momentum_marginal(f) - np.abs(phi) ** 2)))
     return x_err, p_err
 

@@ -163,6 +163,15 @@ class TestExitCodes:
         assert f"output directory {taken}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["carpet", "--t0", "0.4", "--t1", "0.2"], 2),  # library precondition
+        (["wigner", "--q2", "1e-5", "--t", "1.0"], 1),  # mid-bounce marginal breach
+    ])
+    def test_failed_run_makes_no_directory(self, tmp_path, argv, code):
+        out = tmp_path / "out"
+        assert run_quiet([*argv, "--outdir", str(out)]) == code
+        assert not out.exists()
+
 
 class TestArtifacts:
     def test_carpet_outputs(self, tmp_path):

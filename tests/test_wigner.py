@@ -14,6 +14,7 @@ from boxrevive import (
     fringe_spacing,
     momentum_amplitude,
     negativity_volume,
+    parity_mirror,
     position_density,
     wigner,
     wigner_overlap,
@@ -91,6 +92,48 @@ class TestCatState:
         assert abs(spacing - expected) / expected < 0.10
 
 
+class TestMarginalErrors:
+    @pytest.fixture(scope="class")
+    def revival_cases(self, initial_wigner, exp0, cfg0, cat_wigner, cat_state,
+                      super_quarter_wigner, exp_moderate, cfg_moderate):
+        return {
+            "initial": (initial_wigner, evolve(exp0, 0.0, cfg0)),
+            "cat": (cat_wigner, cat_state),
+            "super_quarter": (super_quarter_wigner, evolve(exp_moderate, 500.0, cfg_moderate)),
+        }
+
+    @pytest.mark.parametrize("case", ["initial", "cat", "super_quarter"])
+    def test_momentum_reference_is_independent_of_the_field(self, revival_cases, case):
+        # The closed-form reference shares no discrete sum with the field, so
+        # it agrees to the field's own accuracy (~5e-12), not to rounding.
+        _, p_err = marginal_errors(*revival_cases[case])
+        assert 1e-13 < p_err < 1e-9
+
+    def test_field_of_another_state_is_caught(self, initial_wigner, cat_state):
+        _, p_err = marginal_errors(initial_wigner, cat_state)
+        assert p_err > 1e-3
+
+
+class TestParityMirror:
+    FIELD = WignerField(
+        np.linspace(0.0, 1.0, 3), np.linspace(-2.0, 2.0, 4),
+        np.arange(12.0).reshape(3, 4), time=0.5, captured_norm=0.99,
+    )
+
+    def test_maps_each_cell_to_its_opposite(self):
+        values = parity_mirror(self.FIELD).values
+        for i in range(3):
+            for j in range(4):
+                assert values[i, j] == self.FIELD.values[-1 - i, -1 - j]
+
+    def test_is_an_involution(self):
+        twice = parity_mirror(parity_mirror(self.FIELD))
+        assert np.array_equal(twice.values, self.FIELD.values)
+        assert np.array_equal(twice.x_axis, self.FIELD.x_axis)
+        assert np.array_equal(twice.p_axis, self.FIELD.p_axis)
+        assert (twice.time, twice.captured_norm) == (0.5, 0.99)
+
+
 class TestOverlap:
     def test_self_overlap_is_one(self, cat_wigner):
         assert wigner_overlap(cat_wigner, cat_wigner) == pytest.approx(1.0, abs=1e-12)
@@ -120,14 +163,7 @@ class TestSuperRevivalQuarter:
     rebuild the original orientation."""
 
     def test_quarter_state_is_mirrored_cat(self, super_quarter_wigner, cat_wigner):
-        mirrored = WignerField(
-            super_quarter_wigner.x_axis,
-            super_quarter_wigner.p_axis,
-            super_quarter_wigner.values[::-1, ::-1],
-            super_quarter_wigner.time,
-            super_quarter_wigner.captured_norm,
-        )
-        assert wigner_overlap(mirrored, cat_wigner) > 0.999
+        assert wigner_overlap(parity_mirror(super_quarter_wigner), cat_wigner) > 0.999
 
     def test_quarter_state_is_orthogonal_to_cat(self, super_quarter_wigner, cat_wigner):
         # Balanced cats split their phase-space power evenly between lobes and
