@@ -52,6 +52,7 @@ from .wigner import (
     negativity_volume,
     parity_mirror,
     wigner,
+    wigner_column,
     wigner_overlap,
 )
 
@@ -95,6 +96,7 @@ __all__ = [
     "subplanck_dimension",
     "time_scales",
     "wigner",
+    "wigner_column",
     "wigner_overlap",
     "write_field_csv",
     "write_field_pgm",

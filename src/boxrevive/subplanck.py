@@ -24,7 +24,7 @@ from .wavepacket import (
     position_density,
     trapezoid_mean_std,
 )
-from .wigner import fringe_spacing, wigner
+from .wigner import DEFAULT_GRID, default_p_max, fringe_spacing, wigner_column
 
 SHORT_TIME = 0.25  # quarter of the revival time, where the two-way cat forms
 
@@ -67,7 +67,7 @@ def subplanck_dimension(
     action = dx_eff * dp_eff
     spacing = None
     if with_fringe:
-        spacing = fringe_spacing(wigner(state), packet.x_bar)
+        spacing = fringe_spacing(wigner_column(state, _fringe_momentum(packet)), packet.x_bar)
     return SubPlanckReport(
         time=t,
         q_squared=cfg.q_squared,
@@ -77,6 +77,13 @@ def subplanck_dimension(
         dim_a=1.0 / action,
         fringe_spacing=spacing,
     )
+
+
+def _fringe_momentum(packet: PacketSpec) -> float:
+    """The momentum nearest 0 on the default grid of `wigner`, where fringes are read."""
+    p_max = default_p_max(packet)
+    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
+    return float(p_axis[np.argmin(np.abs(p_axis))])
 
 
 def evaluation_time(q2: float, mode: str) -> float:

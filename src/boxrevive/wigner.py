@@ -2,13 +2,22 @@
 
 W(x, p) = (1/pi) integral psi*(x - u) psi(x + u) e^{-2ipu} du, with psi
 extended by zero outside the box so the u integration is exactly limited to
-|u| <= min(x, 1 - x). The wave function is reconstructed on a fine position
-grid that oversamples the output x grid by an integer factor, which puts every
-output point and every u sample on the same lattice; the correlation product
-c_j = psi*(x - j h) psi(x + j h) then satisfies c_{-j} = conj(c_j) and the
-transform is assembled from real cosine / sine sums, so W is real by
-construction. The oscillatory sum is exact for the band-limited integrand
-because the fine lattice oversamples its highest frequency by far.
+|u| <= L = min(x, 1 - x). For psi = sum_n a_n sqrt(2) sin(n pi x) the integral
+has a closed form. With s = n + m and d = n - m,
+
+    W = (1/pi) sum_key c_key(x) sin((kappa_key + 2p) L) / (kappa_key + 2p)
+
+over the keys kappa in {s pi, -s pi, d pi} (6N - 3 of them for N levels; keys
+of equal value are merged). The real weights are
+G_s = sum_{n+m=s} conj(a_n) a_m e^{i pi (n-m) x} for s pi, G'_s (the same sum
+with e^{-i pi (n-m) x}, not G_s) for -s pi, and -2 Re H_d with
+H_d = sum_{n-m=d} conj(a_n) a_m e^{i pi (n+m) x} for d pi. Every key and
+phase is an integer multiple of pi, so one table of cos and sin(pi m L) gives
+both the weights and sin(kappa L), cos(kappa L). Splitting
+sin((kappa + 2p) L) = sin(kappa L) cos(2pL) + cos(kappa L) sin(2pL) makes the
+field two real (x by key) times (key by p) products against 1/(kappa + 2p);
+pairs within POLE_GAP of a pole are summed directly as c L sinc. The field is
+exact to rounding and real by construction.
 """
 
 from __future__ import annotations
@@ -19,10 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Field2D, trapezoid_2d
-from .wavepacket import CoverageError, EvolvedState, fourier_amplitude, reconstruct
+from .wavepacket import CoverageError, EvolvedState, fourier_amplitude, position_density
 
 DEFAULT_GRID = 256
-DEFAULT_OVERSAMPLE = 8
+
+# Key-momentum pairs with |kappa + 2p| below this are summed directly, not
+# through 1/(kappa + 2p).
+POLE_GAP = 1e-2
 
 # Momentum half-range, in units of 1/delta_x, required beyond |p_bar|. Covers
 # the full occupied spectral band of revival-class states, where the marginal
@@ -73,18 +85,16 @@ def wigner(
     nx: int = DEFAULT_GRID,
     n_p: int = DEFAULT_GRID,
     p_max: float | None = None,
-    oversample: int = DEFAULT_OVERSAMPLE,
 ) -> WignerField:
-    """Evaluate the Wigner distribution on an nx-by-n_p grid.
+    """Evaluate the closed-form Wigner distribution on an nx-by-n_p grid.
 
     The x grid spans [0, 1]; the p grid spans [-p_max, p_max] with a finite
     p_max that must cover the packet's momentum content (|p_bar| + 6/delta_x)
-    or a CoverageError is raised.
+    or a CoverageError is raised, so that the marginals close.
     """
     if nx < 2 or n_p < 2:
         raise ValueError(f"grid must have nx, n_p >= 2 (got {nx}, {n_p})")
-    packet = state.packet
-    need = default_p_max(packet)
+    need = default_p_max(state.packet)
     if p_max is None:
         p_max = need
     if not math.isfinite(p_max):
@@ -93,42 +103,80 @@ def wigner(
         raise CoverageError(
             f"p grid reaches |p| = {p_max:.6g} but |p_bar| + 6/delta_x = {need:.6g} is required"
         )
+    return _field(state, np.linspace(0.0, 1.0, nx), np.linspace(-p_max, p_max, n_p))
 
-    x_axis = np.linspace(0.0, 1.0, nx)
-    p_axis = np.linspace(-p_max, p_max, n_p)
 
-    m = max(1, int(oversample))
-    nf = (nx - 1) * m                 # fine intervals; fine step h = 1/nf
-    h = 1.0 / nf
-    x_fine = np.linspace(0.0, 1.0, nf + 1)
-    psi = reconstruct(state, x_fine)
+def wigner_column(state: EvolvedState, p: float, nx: int = DEFAULT_GRID) -> WignerField:
+    """W(x, p) at the single momentum p on nx points of [0, 1].
 
-    j_max = nf // 2
-    j = np.arange(1, j_max + 1)
-    cos_m = np.cos(np.outer(j, 2.0 * h * p_axis))
-    sin_m = np.sin(np.outer(j, 2.0 * h * p_axis))
+    No coverage check: it protects the marginals of a whole field, and one
+    column has none.
+    """
+    if nx < 2:
+        raise ValueError(f"grid must have nx >= 2 (got {nx})")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite (got {p})")
+    return _field(state, np.linspace(0.0, 1.0, nx), np.array([float(p)]))
 
-    c_re = np.zeros((nx, j_max))
-    c_im = np.zeros((nx, j_max))
-    c0 = np.empty(nx)
-    for r in range(nx):
-        c = r * m
-        half = min(c, nf - c)
-        c0[r] = abs(psi[c]) ** 2
-        if half == 0:
-            continue
-        prod = np.conj(psi[c - np.arange(1, half + 1)]) * psi[c + np.arange(1, half + 1)]
-        c_re[r, :half] = prod.real
-        c_im[r, :half] = prod.imag
 
-    values = (h / math.pi) * (c0[:, None] + 2.0 * (c_re @ cos_m + c_im @ sin_m))
+def _field(state: EvolvedState, x_axis: np.ndarray, p_axis: np.ndarray) -> WignerField:
+    keys, w_cos, w_sin = _key_weights(state.expansion.coefficients, state.expansion.n_values)
+    m = np.arange(len(w_cos))
+    half = np.minimum(x_axis, 1.0 - x_axis)  # L, the reach of the u integral
+    angle = np.outer(half, math.pi * m)
+    cos_l, sin_l = np.cos(angle), np.sin(angle)
+    # Past the midpoint x = 1 - L exactly, so e^{i pi m x} = (-1)^m e^{-i pi m L}.
+    parity = 1.0 - 2.0 * (m % 2)
+    far = x_axis > 0.5
+    cos_x, sin_x = cos_l.copy(), sin_l.copy()
+    cos_x[far] *= parity
+    sin_x[far] *= -parity
+    weights = cos_x @ w_cos + sin_x @ w_sin  # c_key(x), shape (len(x), len(keys))
+
+    kappa = math.pi * keys
+    denom = kappa[:, None] + 2.0 * p_axis
+    pole = np.abs(denom) < POLE_GAP
+    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
+    arg = np.outer(half, 2.0 * p_axis)
+    sin_k = sin_l[:, np.abs(keys)] * np.sign(keys)
+    values = np.cos(arg) * ((weights * sin_k) @ inverse)
+    values += np.sin(arg) * ((weights * cos_l[:, np.abs(keys)]) @ inverse)
+    # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
+    rows, cols = np.nonzero(pole)
+    reach = half * np.sinc(np.outer(denom[rows, cols], half) / math.pi)
+    values[:, cols] += weights[:, rows] * reach.T
     return WignerField(
         x_axis=x_axis,
         p_axis=p_axis,
-        values=values,
+        values=values / math.pi,
         time=state.time,
         captured_norm=state.expansion.captured_norm,
     )
+
+
+def _key_weights(coefficients, n_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct keys kappa / pi and the weight matrices of c_key(x).
+
+    Every pair c = conj(a_n) a_m adds w Re(c e^{i pi e x}) to key k for
+    (k, e, w) in (s, d, 1), (-s, -d, 1) and (d, s, -2). So
+    c_key(x) = sum_e cos(pi e x) w_cos[e, key] + sin(pi e x) w_sin[e, key]
+    over 0 <= e <= 2 n_max, two fixed real matrices.
+    """
+    a = np.asarray(coefficients)
+    n = np.asarray(n_values)
+    c = (np.conj(a)[:, None] * a[None, :]).ravel()
+    s = np.add.outer(n, n).ravel()
+    d = np.subtract.outer(n, n).ravel()
+    keys, col = np.unique(np.concatenate([s, -s, d]), return_inverse=True)
+    e = np.concatenate([d, -d, s])
+    w = np.repeat([1.0, 1.0, -2.0], len(c))
+    cc = np.tile(c, 3)
+    slot = np.abs(e) * len(keys) + col
+    shape = (2 * int(n[-1]) + 1, len(keys))
+    size = shape[0] * shape[1]
+    w_cos = np.bincount(slot, w * cc.real, size).reshape(shape)
+    w_sin = np.bincount(slot, -w * np.sign(e) * cc.imag, size).reshape(shape)
+    return keys, w_cos, w_sin
 
 
 def wigner_overlap(a: WignerField, b: WignerField) -> float:
@@ -168,17 +216,13 @@ def momentum_marginal(f: WignerField) -> np.ndarray:
 def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     """Sup-norm mismatch of both marginals against the direct densities.
 
-    The reference momentum density is the closed-form transform of the state's
-    coefficients, independent of the discrete sums the field is built from.
+    Both references come from the state's coefficients, never from the field:
+    |psi|^2 and |phi|^2 from the closed-form momentum transform.
     """
-    x_err = float(np.max(np.abs(position_marginal(f) - _density_on(state, f.x_axis))))
+    x_err = float(np.max(np.abs(position_marginal(f) - position_density(state, f.x_axis))))
     phi = fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, f.p_axis)
     p_err = float(np.max(np.abs(momentum_marginal(f) - np.abs(phi) ** 2)))
     return x_err, p_err
-
-
-def _density_on(state: EvolvedState, x_axis) -> np.ndarray:
-    return np.abs(reconstruct(state, x_axis)) ** 2
 
 
 def fringe_spacing(f: WignerField, x_center: float, window: float = 0.25) -> float | None:

@@ -1,6 +1,7 @@
 """Sub-Planck action / dimension measurements and sensitivity curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,15 @@ import pytest
 from boxrevive import (
     PacketSpec,
     SystemConfig,
+    evolve,
+    expand,
+    fringe_spacing,
     sensitivity_curve,
     subplanck_dimension,
+    wigner,
+    wigner_column,
 )
-from boxrevive.subplanck import SubPlanckReport, evaluation_time
+from boxrevive.subplanck import SHORT_TIME, SubPlanckReport, evaluation_time
 
 Q2_GRID = [0.0, 2e-6, 4e-6, 8e-6, 1e-5]  # 1/(4 q2) integer for each q2 > 0
 
@@ -98,3 +104,24 @@ class TestSensitivityCurve:
         curve = sensitivity_curve(ref_packet, [1e-5, 2e-6, 8e-6], "short_time")
         qs = [q for q, _ in curve]
         assert qs == sorted(qs)
+
+
+class TestFringeColumn:
+    """The fringe spacing reads one column, the one nearest p = 0 of the
+    default 256 x 256 field, instead of building the whole field."""
+
+    @pytest.mark.parametrize("q2", [0.0, 6e-6, 1e-5, 5e-4])
+    def test_column_and_spacing_match_the_whole_field(self, ref_packet, q2):
+        cfg = SystemConfig(q2)
+        t = evaluation_time(q2, "super_revival") if q2 else SHORT_TIME
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # basis passes 0.7 n* at q2 = 5e-4
+            state = evolve(expand(ref_packet, cfg), t, cfg)
+            report = subplanck_dimension(ref_packet, cfg, t, with_fringe=True)
+        field = wigner(state)
+        col = int(np.argmin(np.abs(field.p_axis)))
+        column = wigner_column(state, field.p_axis[col])
+        assert np.max(np.abs(column.values[:, 0] - field.values[:, col])) <= 1e-12
+        expected = fringe_spacing(field, ref_packet.x_bar)
+        assert expected is not None
+        assert report.fringe_spacing == pytest.approx(expected, rel=1e-9)

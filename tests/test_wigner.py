@@ -1,9 +1,13 @@
 """Wigner transform contracts: marginals, normalization, cat-state structure."""
 
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxrevive import (
     CoverageError,
@@ -17,11 +21,12 @@ from boxrevive import (
     parity_mirror,
     position_density,
     wigner,
+    wigner_column,
     wigner_overlap,
 )
 from boxrevive.fields import trapezoid_2d
-from boxrevive.wavepacket import trapezoid_mean_std
-from boxrevive.wigner import WignerField, marginal_errors
+from boxrevive.wavepacket import EvolvedState, trapezoid_mean_std
+from boxrevive.wigner import WignerField, default_p_max, marginal_errors
 
 
 class TestInitialGaussian:
@@ -104,10 +109,20 @@ class TestMarginalErrors:
 
     @pytest.mark.parametrize("case", ["initial", "cat", "super_quarter"])
     def test_momentum_reference_is_independent_of_the_field(self, revival_cases, case):
-        # The closed-form reference shares no discrete sum with the field, so
-        # it agrees to the field's own accuracy (~5e-12), not to rounding.
-        _, p_err = marginal_errors(*revival_cases[case])
-        assert 1e-13 < p_err < 1e-9
+        # Both the field and the reference are exact to rounding, so they
+        # agree to ~1e-15. The reference reads the state, not the field:
+        # scaling the largest coefficient of the state by 1 + 1e-10, with the
+        # field left as it is, moves the p marginal error above 1e-12. (A
+        # phase kick would not do for the initial packet: centred in the box,
+        # its momentum density moves only at second order in the kick.)
+        field, state = revival_cases[case]
+        _, p_err = marginal_errors(field, state)
+        assert p_err < 1e-13
+        coeffs = state.expansion.coefficients.copy()
+        coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-10
+        kicked = EvolvedState(replace(state.expansion, coefficients=coeffs), state.time, state.cfg)
+        _, kicked_err = marginal_errors(field, kicked)
+        assert kicked_err > 1e-12
 
     def test_field_of_another_state_is_caught(self, initial_wigner, cat_state):
         _, p_err = marginal_errors(initial_wigner, cat_state)
@@ -221,3 +236,117 @@ class TestQuadrature:
         rho = position_density(cat_state, cat_wigner.x_axis)
         marg = np.trapezoid(cat_wigner.values, cat_wigner.p_axis, axis=1)
         assert np.max(np.abs(marg - rho)) < 1e-3
+
+
+def per_pair_field(state, x_axis, p_axis):
+    """(1/pi) sum over level pairs (n, m) of conj(a_n) a_m times
+
+        e^{i pi d x} f(s pi) + e^{-i pi d x} f(-s pi) - e^{i pi s x} f(d pi) - e^{-i pi s x} f(-d pi)
+
+    with s = n + m, d = n - m and f(k) = sin((k + 2p) L)/(k + 2p) = L sinc((k + 2p) L / pi),
+    one level n at a time: the closed form with no grouping by key and no split of the sine.
+    """
+    a = state.expansion.coefficients
+    n = state.expansion.n_values
+    x = np.asarray(x_axis, float)[:, None, None]
+    p = np.asarray(p_axis, float)[None, :, None]
+    half = np.minimum(x, 1.0 - x)
+
+    def f(k):
+        return half * np.sinc((k + 2.0 * p) * half / math.pi)
+
+    total = np.zeros((x.shape[0], p.shape[1]), dtype=complex)
+    for a_n, level in zip(a, n):
+        s = math.pi * (level + n)
+        d = math.pi * (level - n)
+        terms = (np.exp(1j * d * x) * f(s) + np.exp(-1j * d * x) * f(-s)
+                 - np.exp(1j * s * x) * f(d) - np.exp(-1j * s * x) * f(-d))
+        total += terms @ (np.conj(a_n) * a)
+    return total.real / math.pi
+
+
+def quadrature_cell(state, x, p):
+    """(1/pi) integral over |u| <= min(x, 1 - x) of psi*(x - u) psi(x + u) e^{-2ipu}, in mpmath."""
+    mpmath.mp.dps = 20
+    a = [mpmath.mpc(complex(c)) for c in state.expansion.coefficients]
+    n = [int(k) for k in state.expansion.n_values]
+    x, p = mpmath.mpf(x), mpmath.mpf(p)
+
+    def psi(y):
+        return mpmath.sqrt(2) * mpmath.fsum(c * mpmath.sin(k * mpmath.pi * y) for c, k in zip(a, n))
+
+    half = min(x, 1 - x)
+    value = mpmath.quad(
+        lambda u: mpmath.conj(psi(x - u)) * psi(x + u) * mpmath.expj(-2 * p * u),
+        mpmath.linspace(-half, half, 9), method="gauss-legendre",
+    )
+    return float(mpmath.re(value) / mpmath.pi)
+
+
+class TestClosedForm:
+    """The field against the same integral written pair by pair, and against quadrature."""
+
+    @pytest.fixture(scope="class")
+    def states(self, exp0, cfg0, exp_weak, cfg_weak, exp_moderate, cfg_moderate):
+        return {
+            "initial": evolve(exp0, 0.0, cfg0),
+            "cat": evolve(exp0, 0.25, cfg0),
+            "revival": evolve(exp0, 1.0, cfg0),
+            "third": evolve(exp0, 1.0 / 3.0, cfg0),
+            "super_quarter": evolve(exp_moderate, 500.0, cfg_moderate),
+            "super_q2_6e-6": evolve(exp0, 1.0 / (4.0 * 6e-6), SystemConfig(6e-6)),
+            "mid_bounce": evolve(exp_weak, 1.0, cfg_weak),
+            "dephased": evolve(exp_moderate, 0.25, cfg_moderate),
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from(["initial", "cat", "revival", "third", "super_quarter",
+                              "super_q2_6e-6", "mid_bounce", "dephased"]),
+        nx=st.sampled_from([2, 3, 5, 9, 17]),  # 2^k + 1 points hold x = 1/2 exactly
+        n_p=st.integers(2, 12),                # odd n_p holds p = 0, the d = 0 pole
+        widen=st.floats(1.0, 3.0),
+    )
+    def test_grid_matches_per_pair_sum(self, states, case, nx, n_p, widen):
+        state = states[case]
+        field = wigner(state, nx=nx, n_p=n_p, p_max=widen * default_p_max(state.packet))
+        reference = per_pair_field(state, field.x_axis, field.p_axis)
+        assert np.max(np.abs(field.values - reference)) <= 1e-12
+        assert not np.any(field.values[[0, -1]])  # L = 0 at both walls
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(["cat", "third", "super_quarter", "mid_bounce"]),
+        key=st.integers(-64, 64),
+        offset=st.floats(-1e-3, 1e-3),
+    )
+    def test_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset):
+        # Every key kappa is an integer multiple of pi; p = -kappa/2 is its pole.
+        p = -0.5 * math.pi * key + offset
+        column = wigner_column(states[case], p, nx=33)
+        reference = per_pair_field(states[case], column.x_axis, [p])
+        assert np.max(np.abs(column.values - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("case, x, p", [
+        ("cat", 0.5, 0.0),
+        ("cat", 0.3, 50.0),
+        ("third", 0.8, -40.0),
+        ("initial", 0.45, -8.0 * math.pi + 3e-4),
+    ])
+    def test_cell_matches_mpmath_quadrature(self, states, case, x, p):
+        column = wigner_column(states[case], p, nx=21)
+        row = int(np.argmin(np.abs(column.x_axis - x)))
+        assert column.x_axis[row] == pytest.approx(x, abs=1e-15)
+        expected = quadrature_cell(states[case], column.x_axis[row], p)
+        assert column.values[row, 0] == pytest.approx(expected, abs=1e-12)
+
+    def test_column_equals_grid_column(self, states):
+        field = wigner(states["cat"], n_p=33)
+        column = wigner_column(states["cat"], field.p_axis[16])
+        assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
+
+    def test_column_preconditions(self, states):
+        with pytest.raises(ValueError, match="nx >= 2"):
+            wigner_column(states["cat"], 0.0, nx=1)
+        with pytest.raises(ValueError, match="p must be finite"):
+            wigner_column(states["cat"], math.nan)
