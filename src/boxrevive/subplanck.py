@@ -1,13 +1,19 @@
 """Sub-Planck structure diagnostics: action A = dx * dp and dimension a = 1/A.
 
-The action is estimated from the second moments of the position and momentum
-densities of the evolved state (hbar units, so the Heisenberg floor is
-A >= 0.5). The optional fringe-spacing estimate from the Wigner slice is
-reported alongside the moment-based value and never mixed into it.
+dx and dp are the standard deviations of the evolved state's position density
+on DEFAULT_X_POINTS points of [0, 1] and of its momentum density on
+default_momentum_grid (|p| <= |p_bar| + 8/delta_x), each from trapezoid sums
+(hbar units, so the Heisenberg floor is A >= 0.5). Those sums are quadratic
+forms c G_k conj(c) of the coefficient vector c. The matrices G_k depend only
+on the packet and its level range, so they are built once and cached; a report
+then costs one evolve and a few (levels x levels) products, with no grid. The
+optional fringe-spacing estimate from the Wigner slice is reported alongside
+the moment-based value and never mixed into it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -16,13 +22,15 @@ import numpy as np
 from .spectrum import SystemConfig
 from .wavepacket import (
     DEFAULT_X_POINTS,
+    EigenExpansion,
     PacketSpec,
+    _check_coverage,
+    _mode_matrix,
+    _warn_past_turnover,
     default_momentum_grid,
     evolve,
     expand,
-    momentum_amplitude,
-    position_density,
-    trapezoid_mean_std,
+    fourier_amplitude,
 )
 from .wigner import DEFAULT_GRID, default_p_max, fringe_spacing, wigner_column
 
@@ -53,17 +61,19 @@ def subplanck_dimension(
     cfg: SystemConfig,
     t: float,
     with_fringe: bool = False,
+    expansion: EigenExpansion | None = None,
 ) -> SubPlanckReport:
-    """Evolve the packet to t and measure dx, dp, A = dx dp and a = 1/A."""
-    state = evolve(expand(packet, cfg), t, cfg)
+    """Evolve the packet to t and measure dx, dp, A = dx dp and a = 1/A.
 
-    x_grid = np.linspace(0.0, 1.0, DEFAULT_X_POINTS)
-    _, dx_eff = trapezoid_mean_std(x_grid, position_density(state, x_grid))
-
-    p_grid = default_momentum_grid(packet)
-    phi = momentum_amplitude(state, p_grid)
-    _, dp_eff = trapezoid_mean_std(p_grid, np.abs(phi) ** 2)
-
+    expansion, if given, must be the packet's; its coefficients do not depend
+    on q2, so one expansion serves every strength with the same truncation.
+    """
+    if expansion is None:
+        expansion = expand(packet, cfg)
+    state = evolve(expansion, t, cfg)
+    x_forms, p_forms = _moment_forms(packet, expansion.n_min, expansion.n_max)
+    dx_eff = _form_std(x_forms, state.expansion.coefficients)
+    dp_eff = _form_std(p_forms, state.expansion.coefficients)
     action = dx_eff * dp_eff
     spacing = None
     if with_fringe:
@@ -77,6 +87,46 @@ def subplanck_dimension(
         dim_a=1.0 / action,
         fringe_spacing=spacing,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _moment_forms(packet: PacketSpec, n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid moment forms of the position and momentum densities, read-only.
+
+    Each is a (3, levels, levels) stack G_k[n, m] = sum_j w_j g_j^k M_n(g_j)
+    conj(M_m(g_j)), k = 0, 1, 2, over trapezoid weights w_j on a grid g_j
+    measured from its midpoint, so the k-th moment of |psi|^2 = |sum_n c_n M_n|^2
+    is c G_k conj(c). Position: M_n = sqrt(2) sin(n pi x) on DEFAULT_X_POINTS
+    points of [0, 1]; momentum: the closed-form transform of level n on
+    default_momentum_grid(packet). They depend on neither q2 nor t.
+    """
+    n_values = np.arange(n_min, n_max + 1)
+    x_grid = np.linspace(0.0, 1.0, DEFAULT_X_POINTS)
+    p_grid = default_momentum_grid(packet)
+    _check_coverage(packet, p_grid)
+    x_modes = _mode_matrix(n_values, x_grid)
+    p_modes = fourier_amplitude(np.eye(len(n_values)), n_values, p_grid)
+    return _trapezoid_forms(x_grid, x_modes), _trapezoid_forms(p_grid, p_modes)
+
+
+def _trapezoid_forms(axis: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The stack G_0, G_1, G_2 of `_moment_forms` for modes sampled on axis."""
+    weights = np.zeros_like(axis)
+    steps = np.diff(axis) / 2.0
+    weights[:-1] += steps
+    weights[1:] += steps
+    centred = axis - 0.5 * (axis[0] + axis[-1])
+    adjoint = modes.conj().T
+    forms = np.array([(modes * (weights * centred**k)) @ adjoint for k in range(3)])
+    forms.setflags(write=False)
+    return forms
+
+
+def _form_std(forms: np.ndarray, coefficients: np.ndarray) -> float:
+    """Standard deviation of the density whose moments are the forms at these coefficients."""
+    norm, first, second = ((forms @ coefficients.conj()) @ coefficients).real
+    mean = first / norm
+    return math.sqrt(max(second / norm - mean * mean, 0.0))
 
 
 def _fringe_momentum(packet: PacketSpec) -> float:
@@ -107,17 +157,21 @@ def sensitivity_reports(
     """Reports plus ratios delta = a_q / a(q2=0, t=0.25), sorted by q2.
 
     In super_revival mode the q2 = 0 entry is skipped (its super-revival time
-    does not exist). with_fringe adds the fringe spacing to every report.
+    does not exist), and a list with no other entry is a ValueError.
+    with_fringe adds the fringe spacing to every report.
     """
-    base = base_cfg if base_cfg is not None else SystemConfig()
-    reference = subplanck_dimension(packet, replace(base, q_squared=0.0), SHORT_TIME)
+    points = [float(q2) for q2 in sorted(q2_list) if not (mode == "super_revival" and q2 == 0.0)]
+    if mode == "super_revival" and not points:
+        raise ValueError("super_revival mode requires at least one q2 > 0")
+    base = replace(base_cfg if base_cfg is not None else SystemConfig(), q_squared=0.0)
+    expansion = expand(packet, base)
+    reference = subplanck_dimension(packet, base, SHORT_TIME, expansion=expansion)
     out = []
-    for q2 in sorted(q2_list):
-        if mode == "super_revival" and q2 == 0.0:
-            continue
-        cfg = replace(base, q_squared=float(q2))
+    for q2 in points:
+        cfg = replace(base, q_squared=q2)
+        _warn_past_turnover(expansion, cfg)
         report = subplanck_dimension(
-            packet, cfg, evaluation_time(float(q2), mode), with_fringe
+            packet, cfg, evaluation_time(q2, mode), with_fringe, expansion
         )
         out.append((report, report.dim_a / reference.dim_a))
     return out

@@ -30,7 +30,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,6 +187,12 @@ def expand(packet: PacketSpec, cfg: SystemConfig) -> EigenExpansion:
     expansion = EigenExpansion(
         n_min=n_min, n_max=n, coefficients=kept, captured_norm=captured, packet=packet
     )
+    _warn_past_turnover(expansion, cfg, stacklevel=3)
+    return expansion
+
+
+def _warn_past_turnover(expansion: EigenExpansion, cfg: SystemConfig, stacklevel: int = 2) -> None:
+    """PerturbativeValidityWarning if the basis reaches past the warned share of n*(cfg)."""
     n_star = spectrum_turnover(cfg)
     if expansion.n_max > TURNOVER_WARN_FRACTION * n_star:
         warnings.warn(
@@ -194,9 +200,8 @@ def expand(packet: PacketSpec, cfg: SystemConfig) -> EigenExpansion:
             f"of the spectral turnover n*={n_star:.4g}; quartic correction is no "
             "longer a small perturbation there",
             PerturbativeValidityWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return expansion
 
 
 def _split(a):
@@ -307,19 +312,16 @@ def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EvolvedSta
     """Multiply each coefficient by its exact eigenphase exp(-i E_n t)."""
     cycles = phase_cycles(t, cfg.q_squared, expansion.n_values)
     phases = np.exp(-2j * math.pi * cycles)
-    evolved = replace(expansion, coefficients=expansion.coefficients * phases)
+    evolved = EigenExpansion(
+        expansion.n_min, expansion.n_max, expansion.coefficients * phases,
+        expansion.captured_norm, expansion.packet,
+    )
     return EvolvedState(expansion=evolved, time=t, cfg=cfg)
 
 
 def _mode_matrix(n_values, x_grid) -> np.ndarray:
     """sqrt(2) sin(n pi x) sampled for every (n, x) pair; shape (len(n), len(x))."""
     return math.sqrt(2.0) * np.sin(np.outer(n_values, math.pi * np.asarray(x_grid, float)))
-
-
-def reconstruct(state: EvolvedState, x_grid) -> np.ndarray:
-    """Complex wave function on the given grid."""
-    modes = _mode_matrix(state.expansion.n_values, x_grid)
-    return state.expansion.coefficients @ modes
 
 
 def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -371,16 +373,20 @@ def momentum_amplitude(state: EvolvedState, p_grid) -> np.ndarray:
     captured norm to 1e-4.
     """
     p = np.asarray(p_grid, dtype=float)
+    _check_coverage(state.packet, p)
+    return fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, p)
+
+
+def _check_coverage(packet: PacketSpec, p: np.ndarray) -> None:
+    """Raise CoverageError unless p is symmetric about 0 and reaches |p_bar| + 6/delta_x."""
     span = max(abs(p[0]), abs(p[-1]))
     if abs(p[0] + p[-1]) > 1e-9 * max(1.0, span):
         raise CoverageError("momentum grid must be symmetric about 0")
-    packet = state.packet
     need = abs(packet.p_bar) + 6.0 / packet.delta_x
     if span < need - 1e-9:
         raise CoverageError(
             f"momentum grid reaches |p| = {span:.6g} but |p_bar| + 6/delta_x = {need:.6g} is required"
         )
-    return fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, p)
 
 
 def autocorrelation(expansion: EigenExpansion, t, cfg: SystemConfig):
@@ -392,15 +398,3 @@ def autocorrelation(expansion: EigenExpansion, t, cfg: SystemConfig):
     weights = np.abs(expansion.coefficients) ** 2
     values = np.exp(-2j * math.pi * cycles) @ weights
     return complex(values) if np.ndim(t) == 0 else values
-
-
-def trapezoid_mean_std(axis, density):
-    """Mean and standard deviation of a sampled 1-d density (trapezoid weights)."""
-    axis = np.asarray(axis, float)
-    density = np.asarray(density, float)
-    norm = np.trapezoid(density, axis)
-    if norm <= 0.0:
-        raise ValueError("density has zero norm")
-    mean = np.trapezoid(axis * density, axis) / norm
-    var = np.trapezoid((axis - mean) ** 2 * density, axis) / norm
-    return mean, math.sqrt(max(var, 0.0))

@@ -163,6 +163,15 @@ class TestExitCodes:
         assert f"output directory {taken}" in err
         assert "Traceback" not in err
 
+    def test_super_revival_without_positive_q2_is_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run_quiet(
+            ["subplanck", "--mode", "super_revival", "--q2-list", "0", "--outdir", str(out)]
+        )
+        assert rc == 2
+        assert "at least one q2 > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["carpet", "--t0", "0.4", "--t1", "0.2"], 2),  # library precondition
         (["wigner", "--q2", "1e-5", "--t", "1.0"], 1),  # mid-bounce marginal breach

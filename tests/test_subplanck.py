@@ -1,25 +1,70 @@
 """Sub-Planck action / dimension measurements and sensitivity curves."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxrevive import (
+    CoverageError,
     PacketSpec,
+    PerturbativeValidityWarning,
     SystemConfig,
+    default_momentum_grid,
     evolve,
     expand,
     fringe_spacing,
+    momentum_amplitude,
+    position_density,
     sensitivity_curve,
+    sensitivity_reports,
     subplanck_dimension,
     wigner,
     wigner_column,
 )
-from boxrevive.subplanck import SHORT_TIME, SubPlanckReport, evaluation_time
+from boxrevive import subplanck
+from boxrevive.subplanck import SHORT_TIME, SubPlanckReport, _moment_forms, evaluation_time
+from boxrevive.wavepacket import DEFAULT_X_POINTS
+from moments import trapezoid_mean_std
 
 Q2_GRID = [0.0, 2e-6, 4e-6, 8e-6, 1e-5]  # 1/(4 q2) integer for each q2 > 0
+
+
+def trapezoid_widths(packet, cfg, t):
+    """Oracle: dx and dp as trapezoid moments of the sampled densities on the report's grids."""
+    state = evolve(expand(packet, cfg), t, cfg)
+    x = np.linspace(0.0, 1.0, DEFAULT_X_POINTS)
+    p = default_momentum_grid(packet)
+    _, dx = trapezoid_mean_std(x, position_density(state, x))
+    _, dp = trapezoid_mean_std(p, np.abs(momentum_amplitude(state, p)) ** 2)
+    return dx, dp
+
+
+def width_errors(packet, cfg, t):
+    report = subplanck_dimension(packet, cfg, t)
+    dx, dp = trapezoid_widths(packet, cfg, t)
+    return abs(report.delta_x_eff / dx - 1.0), abs(report.delta_p_eff / dp - 1.0)
+
+
+@st.composite
+def report_cases(draw):
+    """A packet clear of the walls, a strength and an instant: free, short_time or
+    a fraction r/s of the super-revival period 1/q2."""
+    packet = PacketSpec(
+        x_bar=draw(st.floats(0.4, 0.6)),
+        delta_x=draw(st.floats(0.04, 0.1)),
+        p_bar=draw(st.floats(-60.0, 60.0)),
+    )
+    q2 = draw(st.sampled_from([0.0, 2e-6, 6e-6, 1e-5, 1e-4]))
+    instants = [st.floats(0.0, 2.0), st.just(SHORT_TIME)]
+    if q2:
+        fraction = st.sampled_from([(1, 8), (1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (1, 1)])
+        instants.append(fraction.map(lambda rs: rs[0] / (rs[1] * q2)))
+    return packet, SystemConfig(q2), draw(st.one_of(instants))
 
 
 class TestSingleReport:
@@ -100,6 +145,19 @@ class TestSensitivityCurve:
         (_, delta), = sensitivity_curve(ref_packet, [6e-6], "super_revival")
         assert delta < 0.5
 
+    def test_super_revival_needs_a_positive_strength(self, ref_packet):
+        with pytest.raises(ValueError, match="at least one q2 > 0"):
+            sensitivity_reports(ref_packet, [0.0], "super_revival")
+
+    def test_one_expansion_still_warns_for_each_point_past_the_turnover(self, ref_packet):
+        # The reference packet's basis ends at n = 31, past 0.7 n* once q2 > 2.6e-4.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sensitivity_reports(ref_packet, [1e-5, 5e-4, 1e-3], "short_time")
+        stars = [re.search(r"n\*=(\S+);", str(w.message)).group(1)
+                 for w in caught if issubclass(w.category, PerturbativeValidityWarning)]
+        assert stars == ["31.62", "22.36"]
+
     def test_pairs_sorted_by_strength(self, ref_packet):
         curve = sensitivity_curve(ref_packet, [1e-5, 2e-6, 8e-6], "short_time")
         qs = [q for q, _ in curve]
@@ -125,3 +183,43 @@ class TestFringeColumn:
         expected = fringe_spacing(field, ref_packet.x_bar)
         assert expected is not None
         assert report.fringe_spacing == pytest.approx(expected, rel=1e-9)
+
+
+class TestMomentForms:
+    """dx and dp read from the cached quadratic forms are the trapezoid moments
+    of the sampled densities, summed in another order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(report_cases())
+    def test_widths_match_trapezoid_moments(self, case):
+        packet, cfg, t = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # wide packets pass 0.7 n* at q2 = 1e-4
+            assert max(width_errors(packet, cfg, t)) <= 1e-12
+
+    def test_each_packet_and_level_range_gets_its_own_forms(self):
+        # a and b share a level range at eps = 1e-10 but not a momentum grid;
+        # a has another level range at the default eps.
+        a, b = PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.1, 52.0)
+        fine, coarse = SystemConfig(1e-5, truncation_epsilon=1e-10), SystemConfig(1e-5)
+        levels = {
+            (p, c): (e.n_min, e.n_max)
+            for p, c in ((a, fine), (b, fine), (a, coarse))
+            for e in [expand(p, c)]
+        }
+        assert levels[(a, fine)] == levels[(b, fine)] != levels[(a, coarse)]
+        _moment_forms.cache_clear()
+        for packet, cfg in [(a, fine), (b, fine), (a, coarse)] * 2:
+            assert max(width_errors(packet, cfg, 0.25)) <= 1e-12
+        info = _moment_forms.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+
+    @pytest.mark.parametrize("grid, message", [
+        (np.linspace(-60.0, 160.0, 64), "symmetric"),
+        (np.linspace(-60.0, 60.0, 64), r"\|p_bar\| \+ 6/delta_x"),
+    ], ids=["asymmetric", "short"])
+    def test_forms_check_momentum_coverage(self, ref_packet, cfg0, monkeypatch, grid, message):
+        monkeypatch.setattr(subplanck, "default_momentum_grid", lambda packet: grid)
+        _moment_forms.cache_clear()
+        with pytest.raises(CoverageError, match=message):
+            subplanck_dimension(ref_packet, cfg0, 0.25)

@@ -28,9 +28,8 @@ from boxrevive.wavepacket import (
     MAX_LEVEL,
     fourier_amplitude,
     phase_cycles,
-    reconstruct,
-    trapezoid_mean_std,
 )
+from moments import trapezoid_mean_std
 
 # Packets drawn well clear of the walls, so the Gaussian ansatz captures the
 # norm to within the default truncation tolerance.
@@ -152,6 +151,11 @@ class TestEvolution:
     def test_exact_revival_after_one_period(self, exp0, cfg0):
         state = evolve(exp0, 1.0, cfg0)
         assert np.array_equal(state.expansion.coefficients, exp0.coefficients)
+
+    def test_evolved_coefficients_are_read_only(self, exp0, cfg0):
+        state = evolve(exp0, 0.3, cfg0)
+        assert not state.expansion.coefficients.flags.writeable
+        assert state.expansion.captured_norm == exp0.captured_norm
 
     def test_phase_integrality_at_super_revival(self, exp_moderate, cfg_moderate):
         # 1/q2 = 2000 is an integer, so every cycle count at t = 2000 is whole.

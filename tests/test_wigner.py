@@ -25,8 +25,9 @@ from boxrevive import (
     wigner_overlap,
 )
 from boxrevive.fields import trapezoid_2d
-from boxrevive.wavepacket import EvolvedState, trapezoid_mean_std
+from boxrevive.wavepacket import EvolvedState
 from boxrevive.wigner import WignerField, default_p_max, marginal_errors
+from moments import trapezoid_mean_std
 
 
 class TestInitialGaussian:
