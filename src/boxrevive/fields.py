@@ -106,6 +106,16 @@ def write_field_pgm(path, f: Field2D, *, signed: bool = False, gamma: float = 0.
     Path(path).write_bytes(_pgm_bytes(quantized, comment))
 
 
+def trapezoid_weights(axis) -> np.ndarray:
+    """Weights w of the trapezoid rule on axis: w @ f integrates f sampled there."""
+    axis = np.asarray(axis, dtype=float)
+    weights = np.zeros_like(axis)
+    steps = np.diff(axis) / 2.0
+    weights[:-1] += steps
+    weights[1:] += steps
+    return weights
+
+
 def trapezoid_2d(axis1, axis2, values) -> float:
     """Double trapezoid integral of values over the grid."""
-    return float(np.trapezoid(np.trapezoid(values, axis2, axis=1), axis1))
+    return float(trapezoid_weights(axis1) @ values @ trapezoid_weights(axis2))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fields import trapezoid_weights
 from .spectrum import SystemConfig
 from .wavepacket import (
     DEFAULT_X_POINTS,
@@ -111,10 +112,7 @@ def _moment_forms(packet: PacketSpec, n_min: int, n_max: int) -> tuple[np.ndarra
 
 def _trapezoid_forms(axis: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """The stack G_0, G_1, G_2 of `_moment_forms` for modes sampled on axis."""
-    weights = np.zeros_like(axis)
-    steps = np.diff(axis) / 2.0
-    weights[:-1] += steps
-    weights[1:] += steps
+    weights = trapezoid_weights(axis)
     centred = axis - 0.5 * (axis[0] + axis[-1])
     adjoint = modes.conj().T
     forms = np.array([(modes * (weights * centred**k)) @ adjoint for k in range(3)])

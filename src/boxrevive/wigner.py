@@ -18,6 +18,13 @@ sin((kappa + 2p) L) = sin(kappa L) cos(2pL) + cos(kappa L) sin(2pL) makes the
 field two real (x by key) times (key by p) products against 1/(kappa + 2p);
 pairs within POLE_GAP of a pole are summed directly as c L sinc. The field is
 exact to rounding and real by construction.
+
+Rows x and 1 - x of the grid x = linspace(0, 1, nx) share the reach L, and
+at x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}. So every x-only table
+(cos and sin(pi m L), the key weights, cos and sin(2pL), the pole reach) is
+built on the ceil(nx/2) near rows alone, with L = x there; the far rows take
+their key weights through the (-1)^m parity and sit at 1 - L, their grid x
+to within an ulp. Each half is written into the field in place.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Field2D, trapezoid_2d
+from .fields import Field2D, trapezoid_2d, trapezoid_weights
 from .wavepacket import CoverageError, EvolvedState, fourier_amplitude, position_density
 
 DEFAULT_GRID = 256
@@ -88,67 +95,81 @@ def wigner(
 ) -> WignerField:
     """Evaluate the closed-form Wigner distribution on an nx-by-n_p grid.
 
-    The x grid spans [0, 1]; the p grid spans [-p_max, p_max] with a finite
-    p_max that must cover the packet's momentum content (|p_bar| + 6/delta_x)
-    or a CoverageError is raised, so that the marginals close.
+    The x grid spans [0, 1]; the p grid spans [-p_max, p_max]. 2 p_max must
+    be finite, since the kernel works with 2p, and p_max must cover the
+    packet's momentum content (|p_bar| + 6/delta_x) or a CoverageError is
+    raised, so that the marginals close.
     """
     if nx < 2 or n_p < 2:
         raise ValueError(f"grid must have nx, n_p >= 2 (got {nx}, {n_p})")
     need = default_p_max(state.packet)
     if p_max is None:
         p_max = need
-    if not math.isfinite(p_max):
-        raise ValueError(f"p_max must be finite (got {p_max})")
+    if not math.isfinite(2.0 * p_max):
+        raise ValueError(f"2 p_max must be finite (got p_max = {p_max})")
     if p_max < need - 1e-9:
         raise CoverageError(
             f"p grid reaches |p| = {p_max:.6g} but |p_bar| + 6/delta_x = {need:.6g} is required"
         )
-    return _field(state, np.linspace(0.0, 1.0, nx), np.linspace(-p_max, p_max, n_p))
+    return _field(state, nx, np.linspace(-p_max, p_max, n_p))
 
 
 def wigner_column(state: EvolvedState, p: float, nx: int = DEFAULT_GRID) -> WignerField:
     """W(x, p) at the single momentum p on nx points of [0, 1].
 
-    No coverage check: it protects the marginals of a whole field, and one
-    column has none.
+    2p must be finite. No coverage check: it protects the marginals of a
+    whole field, and one column has none.
     """
     if nx < 2:
         raise ValueError(f"grid must have nx >= 2 (got {nx})")
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite (got {p})")
-    return _field(state, np.linspace(0.0, 1.0, nx), np.array([float(p)]))
+    if not math.isfinite(2.0 * p):
+        raise ValueError(f"2p must be finite (got p = {p})")
+    return _field(state, nx, np.array([float(p)]))
 
 
-def _field(state: EvolvedState, x_axis: np.ndarray, p_axis: np.ndarray) -> WignerField:
+def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     keys, w_cos, w_sin = _key_weights(state.expansion.coefficients, state.expansion.n_values)
     m = np.arange(len(w_cos))
-    half = np.minimum(x_axis, 1.0 - x_axis)  # L, the reach of the u integral
+    x_axis = np.linspace(0.0, 1.0, nx)
+    # Row i and its mirror nx - 1 - i share the reach L = x_i of the u
+    # integral, so every x-only table is built on the near half alone.
+    near, far = (nx + 1) // 2, nx // 2
+    half = x_axis[:near]
     angle = np.outer(half, math.pi * m)
     cos_l, sin_l = np.cos(angle), np.sin(angle)
-    # Past the midpoint x = 1 - L exactly, so e^{i pi m x} = (-1)^m e^{-i pi m L}.
-    parity = 1.0 - 2.0 * (m % 2)
-    far = x_axis > 0.5
-    cos_x, sin_x = cos_l.copy(), sin_l.copy()
-    cos_x[far] *= parity
-    sin_x[far] *= -parity
-    weights = cos_x @ w_cos + sin_x @ w_sin  # c_key(x), shape (len(x), len(keys))
+    # At the mirror x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}.
+    parity = (1.0 - 2.0 * (m % 2))[:, None]
+    weights = (
+        cos_l @ w_cos + sin_l @ w_sin,  # c_key(x) on the near rows
+        cos_l[:far] @ (parity * w_cos) - sin_l[:far] @ (parity * w_sin),
+    )
 
     kappa = math.pi * keys
     denom = kappa[:, None] + 2.0 * p_axis
     pole = np.abs(denom) < POLE_GAP
     inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
     arg = np.outer(half, 2.0 * p_axis)
+    cos_arg, sin_arg = np.cos(arg), np.sin(arg)
     sin_k = sin_l[:, np.abs(keys)] * np.sign(keys)
-    values = np.cos(arg) * ((weights * sin_k) @ inverse)
-    values += np.sin(arg) * ((weights * cos_l[:, np.abs(keys)]) @ inverse)
+    cos_k = cos_l[:, np.abs(keys)]
     # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
     rows, cols = np.nonzero(pole)
     reach = half * np.sinc(np.outer(denom[rows, cols], half) / math.pi)
-    values[:, cols] += weights[:, rows] * reach.T
+    values = np.empty((nx, len(p_axis)))
+    # The far half is written bottom up; each half is its own pair of
+    # (rows x key) @ (key x p) products, which keeps the temporaries at half size.
+    for w, out in zip(weights, (values[:near], values[::-1][:far])):
+        k = len(w)
+        np.multiply(cos_arg[:k], (w * sin_k[:k]) @ inverse, out=out)
+        term = (w * cos_k[:k]) @ inverse
+        term *= sin_arg[:k]
+        out += term
+        out[:, cols] += w[:, rows] * reach[:, :k].T
+    values /= math.pi
     return WignerField(
         x_axis=x_axis,
         p_axis=p_axis,
-        values=values / math.pi,
+        values=values,
         time=state.time,
         captured_norm=state.expansion.captured_norm,
     )
@@ -205,12 +226,12 @@ def negativity_volume(f: WignerField) -> float:
 
 def position_marginal(f: WignerField) -> np.ndarray:
     """sum_p W dp, which must reproduce |psi(x)|^2."""
-    return np.trapezoid(f.values, f.p_axis, axis=1)
+    return f.values @ trapezoid_weights(f.p_axis)
 
 
 def momentum_marginal(f: WignerField) -> np.ndarray:
     """sum_x W dx, which must reproduce |phi(p)|^2."""
-    return np.trapezoid(f.values, f.x_axis, axis=0)
+    return trapezoid_weights(f.x_axis) @ f.values
 
 
 def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, artifacts, manifests, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import boxrevive
-from boxrevive import PacketSpec, SystemConfig, sensitivity_reports, subplanck_dimension
+from boxrevive import (
+    Field2D, PacketSpec, SystemConfig, carpet, cli, sensitivity_reports, subplanck_dimension,
+)
 from boxrevive.cli import run
 
 
@@ -146,14 +149,36 @@ class TestExitCodes:
         assert "1e+200" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("pmax", ["nan", "inf"])
+    @pytest.mark.parametrize("pmax", ["nan", "inf", "1e308"])  # 2 * 1e308 overflows
     def test_non_finite_pmax_is_exit_two(self, tmp_path, capsys, pmax):
-        rc = run_quiet(
-            ["wigner", "--pmax", pmax, "--nx", "16", "--np", "16", "--outdir", str(tmp_path)]
-        )
+        out = tmp_path / "out"
+        rc = run_quiet(["wigner", "--pmax", pmax, "--nx", "8", "--np", "8", "--outdir", str(out)])
         assert rc == 2
-        assert "p_max" in capsys.readouterr().err
-        assert not (tmp_path / "wigner.csv").exists()
+        assert "2 p_max must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("errors", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_marginal_error_is_a_breach(self, tmp_path, capsys, monkeypatch, errors):
+        monkeypatch.setattr(cli, "marginal_errors", lambda field, state: errors)
+        out = tmp_path / "out"
+        rc = run_quiet(["wigner", "--nx", "8", "--np", "8", "--outdir", str(out)])
+        assert rc == 1
+        assert "marginal" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_row_norm_is_a_breach(self, tmp_path, capsys, monkeypatch):
+        def poisoned(*args, **kwargs):
+            field = carpet(*args, **kwargs)
+            values = field.values.copy()
+            values[0, 0] = math.nan
+            return Field2D(field.axis1, field.axis2, values, field.meta)
+
+        monkeypatch.setattr(cli, "carpet", poisoned)
+        out = tmp_path / "out"
+        rc = run_quiet(["carpet", "--nt", "4", "--nx", "32", "--outdir", str(out)])
+        assert rc == 1
+        assert "row norm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_outdir_that_is_a_file_is_exit_two(self, tmp_path):
         taken = tmp_path / "taken"

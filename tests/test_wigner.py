@@ -228,7 +228,7 @@ class TestQuadrature:
         with pytest.raises(CoverageError):
             wigner(cat_state, p_max=60.0)
 
-    @pytest.mark.parametrize("p_max", [math.nan, math.inf])
+    @pytest.mark.parametrize("p_max", [math.nan, math.inf, 1e308])  # 2 * 1e308 overflows
     def test_non_finite_p_max_rejected(self, cat_state, p_max):
         with pytest.raises(ValueError, match="p_max must be finite"):
             wigner(cat_state, nx=16, n_p=16, p_max=p_max)
@@ -300,11 +300,13 @@ class TestClosedForm:
             "dephased": evolve(exp_moderate, 0.25, cfg_moderate),
         }
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
         case=st.sampled_from(["initial", "cat", "revival", "third", "super_quarter",
                               "super_q2_6e-6", "mid_bounce", "dephased"]),
-        nx=st.sampled_from([2, 3, 5, 9, 17]),  # 2^k + 1 points hold x = 1/2 exactly
+        # 2^k + 1 points hold x = 1/2 exactly; even sizes pair every row with
+        # its mirror and have no middle row.
+        nx=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 16, 17]),
         n_p=st.integers(2, 12),                # odd n_p holds p = 0, the d = 0 pole
         widen=st.floats(1.0, 3.0),
     )
@@ -342,12 +344,15 @@ class TestClosedForm:
         assert column.values[row, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_column_equals_grid_column(self, states):
-        field = wigner(states["cat"], n_p=33)
-        column = wigner_column(states["cat"], field.p_axis[16])
-        assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
+        for nx in (16, 17, 256):  # even sizes have no middle row
+            field = wigner(states["cat"], nx=nx, n_p=33)
+            column = wigner_column(states["cat"], field.p_axis[16], nx=nx)
+            assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
 
     def test_column_preconditions(self, states):
         with pytest.raises(ValueError, match="nx >= 2"):
             wigner_column(states["cat"], 0.0, nx=1)
         with pytest.raises(ValueError, match="p must be finite"):
             wigner_column(states["cat"], math.nan)
+        with pytest.raises(ValueError, match="2p must be finite"):
+            wigner_column(states["cat"], 1e308)
