@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field2D
+from .fields import Field2D, trapezoid_weights
 from .spectrum import SystemConfig
 from .revivals import _parabolic_vertex
 from .wavepacket import PacketSpec, _density_rows, _mode_matrix, evolve, expand
@@ -12,6 +12,8 @@ from .wavepacket import PacketSpec, _density_rows, _mode_matrix, evolve, expand
 DEFAULT_NT = 512
 DEFAULT_NX = 512
 BLOCK_ROWS = 16  # rows whose densities one product forms; the scratch stays BLOCK_ROWS x nx
+PAD_FACTOR = 8  # zero padding of the dominant_period periodogram, in trace lengths
+PROMINENCE = 0.01  # least rise of a count_maxima peak above the minima on both sides
 
 
 def carpet(
@@ -33,12 +35,9 @@ def carpet(
         raise ValueError(f"time window must satisfy t1 >= t0 >= 0 (got [{t0}, {t1}])")
     if nt < 1 or nx < 2:
         raise ValueError(f"grid must have nt >= 1, nx >= 2 (got nt={nt}, nx={nx})")
-    if nt == 1:
-        times = np.array([t0])
-    else:
-        if t1 <= t0:
-            raise ValueError(f"time window must satisfy t1 > t0 (got [{t0}, {t1}])")
-        times = np.linspace(t0, t1, nt)
+    if nt > 1 and t1 <= t0:
+        raise ValueError(f"time window must satisfy t1 > t0 (got [{t0}, {t1}])")
+    times = np.linspace(t0, t1, nt)
 
     expansion = expand(packet, cfg)
     x_grid = np.linspace(0.0, 1.0, nx)
@@ -65,35 +64,33 @@ def carpet(
 
 def centroid_trace(field: Field2D) -> np.ndarray:
     """Per-row centroid <x>(t) of a density carpet; values lie in [0, 1]."""
-    x = field.axis2
-    out = np.empty(len(field.axis1))
-    for i, row in enumerate(field.values):
-        norm = np.trapezoid(row, x)
-        if norm <= 0.0:
-            raise ValueError(f"zero-norm row at index {i}; centroid undefined")
-        out[i] = np.trapezoid(x * row, x) / norm
-    return out
+    weights = trapezoid_weights(field.axis2)
+    norms = field.values @ weights
+    empty = np.nonzero(norms <= 0.0)[0]
+    if len(empty):
+        raise ValueError(f"zero-norm row at index {empty[0]}; centroid undefined")
+    return field.values @ (weights * field.axis2) / norms
 
 
-def dominant_period(times: np.ndarray, trace: np.ndarray, pad_factor: int = 8) -> float:
+def dominant_period(times: np.ndarray, trace: np.ndarray) -> float:
     """Period of the strongest oscillation in a centroid trace.
 
-    Zero-padded periodogram of the detrended trace with parabolic refinement
-    of the peak bin.
+    Periodogram of the detrended trace, zero-padded to PAD_FACTOR times its
+    length, with parabolic refinement of the peak bin.
     """
     sig = np.asarray(trace, float) - np.mean(trace)
     n = len(sig)
     dt = times[1] - times[0]
-    spec = np.abs(np.fft.rfft(sig, n=pad_factor * n)) ** 2
-    freqs = np.fft.rfftfreq(pad_factor * n, d=dt)
+    spec = np.abs(np.fft.rfft(sig, n=PAD_FACTOR * n)) ** 2
+    freqs = np.fft.rfftfreq(PAD_FACTOR * n, d=dt)
     k = int(np.argmax(spec[1:])) + 1
     shift = _parabolic_vertex(*spec[k - 1 : k + 2])[0] if k < len(spec) - 1 else 0.0
     f_peak = freqs[k] + shift * (freqs[1] - freqs[0])
     return 1.0 / f_peak
 
 
-def count_maxima(trace: np.ndarray, prominence: float = 0.01) -> int:
-    """Number of strict local maxima rising at least `prominence` above the
+def count_maxima(trace: np.ndarray) -> int:
+    """Number of strict local maxima rising at least PROMINENCE above the
     neighboring minima on both sides."""
     t = np.asarray(trace, float)
     count = 0
@@ -104,7 +101,7 @@ def count_maxima(trace: np.ndarray, prominence: float = 0.01) -> int:
         right = t[i + 1 :]
         drop_left = t[i] - _running_min_until_rise(left, t[i])
         drop_right = t[i] - _running_min_until_rise(right, t[i])
-        if drop_left >= prominence and drop_right >= prominence:
+        if drop_left >= PROMINENCE and drop_right >= PROMINENCE:
             count += 1
     return count
 

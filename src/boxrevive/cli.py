@@ -4,8 +4,10 @@ Subcommands: spectrum, carpet, wigner, subplanck, revivals, fidelity. Every
 parameter is declared once, as a row of COMMON or of its subcommand's table in
 SUBCOMMANDS; the row gives its flag, config-file key, type, default, check and
 help. Every run computes first, then makes the output directory and writes its
-CSV / PGM / JSON artifacts there, recording every resolved parameter,
-including defaults, in manifest.txt; a run that fails makes no directory.
+artifacts there. --formats selects which CSV and PGM artifacts of any
+subcommand are written; revivals.json and manifest.txt, which records every
+resolved parameter including defaults, are always written. A run that fails
+makes no directory.
 
 Exit status 2 means a configuration error: a value that does not parse or
 fails its check, an output directory that cannot be created, or a
@@ -46,8 +48,8 @@ from .spectrum import (
     time_scales,
 )
 from .subplanck import MODES, sensitivity_reports, subplanck_dimension
-from .wavepacket import PacketSpec, TruncationError, evolve, expand
-from .wigner import DEFAULT_GRID, default_p_max, marginal_errors, wigner
+from .wavepacket import PacketSpec, TruncationError, default_p_max, evolve, expand
+from .wigner import DEFAULT_GRID, marginal_errors, wigner
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -55,6 +57,10 @@ EXIT_CONFIG = 2
 
 MARGINAL_TOLERANCE = 1e-3
 ROW_NORM_TOLERANCE = 1e-4
+
+
+class ContractError(RuntimeError):
+    """A numerical contract check of a run (row norm, marginals) failed."""
 
 
 class Param(NamedTuple):
@@ -278,15 +284,20 @@ def write_manifest(path: Path, cfg: RunConfig, derived: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-# Artifact file name -> writer; a runner computes everything before run() writes.
+# Artifact file name -> writer; a runner computes everything and returns every
+# writer, and run() writes those whose format is selected.
 Artifacts = dict[str, Callable[[Path], None]]
 
 
 def _table_csv(header: list[str], columns: list[str], rows) -> Callable[[Path], None]:
-    lines = [f"# {header[0]}", f"# {header[1]}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return lambda path: path.write_text("\n".join(lines) + "\n")
+    """Writer of a table; rows are formatted only if the table is written."""
+
+    def write(path: Path) -> None:
+        lines = [f"# {header[0]}", f"# {header[1]}", ",".join(columns)]
+        lines += (",".join(_fmt(v) for v in row) for row in rows)
+        path.write_text("\n".join(lines) + "\n")
+
+    return write
 
 
 def _expansion_derived(expansion) -> dict:
@@ -298,35 +309,20 @@ def _expansion_derived(expansion) -> dict:
 
 
 def _run_spectrum(cfg: RunConfig) -> tuple[dict, Artifacts]:
-    n_bar = cfg.n_bar()
-    ts = time_scales(n_bar, cfg.system)
+    ts = time_scales(cfg.n_bar(), cfg.system)
     rows = [(n, energy_level(n, cfg.system)) for n in range(1, cfg.grid["nmax"] + 1)]
-    artifacts = {}
-    if "csv" in cfg.formats:
-        artifacts["spectrum.csv"] = _table_csv(
+    return {"spectrum_turnover": spectrum_turnover(cfg.system), "t_sr4": ts.t_sr4}, {
+        "spectrum.csv": _table_csv(
             ["energy levels E_n [hbar^2/(m L^2)]", "n = 1 .. nmax"],
             ["n", "energy"],
             rows,
-        )
-        scale_rows = [
-            ("n_bar", ts.n_bar),
-            ("t_cl", ts.t_cl),
-            ("t_cl_bar", ts.t_cl_bar),
-            ("t_rev", ts.t_rev),
-            ("t_rev_bar", ts.t_rev_bar),
-            ("t_sr3", ts.t_sr3),
-            ("t_sr4", ts.t_sr4),
-        ]
-        artifacts["timescales.csv"] = _table_csv(
+        ),
+        "timescales.csv": _table_csv(
             ["derived periods [T_rev]", "empty value: scale absent at q2 = 0"],
             ["name", "value"],
-            scale_rows,
-        )
-    return {
-        "n_bar": n_bar,
-        "spectrum_turnover": spectrum_turnover(cfg.system),
-        "t_sr4": ts.t_sr4,
-    }, artifacts
+            dataclasses.asdict(ts).items(),
+        ),
+    }
 
 
 def _run_carpet(cfg: RunConfig) -> tuple[dict, Artifacts]:
@@ -341,29 +337,18 @@ def _run_carpet(cfg: RunConfig) -> tuple[dict, Artifacts]:
     norms = field.values @ trapezoid_weights(field.axis2)
     row_err = float(np.max(np.abs(norms - field.meta["captured_norm"])))
     if not row_err <= ROW_NORM_TOLERANCE:  # NaN is a breach
-        raise RowNormError(
+        raise ContractError(
             f"carpet row norm drifts by {row_err:.3g} > {ROW_NORM_TOLERANCE:g}"
         )
-    artifacts = {}
-    if "csv" in cfg.formats:
-        artifacts["carpet.csv"] = lambda path: write_field_csv(path, field)
-    if "pgm" in cfg.formats:
-        artifacts["carpet.pgm"] = lambda path: write_field_pgm(path, field, signed=False, gamma=0.5)
     return {
         "captured_norm": field.meta["captured_norm"],
         "n_min": field.meta["n_min"],
         "n_max": field.meta["n_max"],
-        "n_bar": cfg.n_bar(),
         "row_norm_max_error": row_err,
-    }, artifacts
-
-
-class RowNormError(RuntimeError):
-    pass
-
-
-class MarginalError(RuntimeError):
-    pass
+    }, {
+        "carpet.csv": lambda path: write_field_csv(path, field),
+        "carpet.pgm": lambda path: write_field_pgm(path, field, signed=False),
+    }
 
 
 def _run_wigner(cfg: RunConfig) -> tuple[dict, Artifacts]:
@@ -373,57 +358,45 @@ def _run_wigner(cfg: RunConfig) -> tuple[dict, Artifacts]:
     field = wigner(state, nx=g["nx"], n_p=g["np"], p_max=g["pmax"])
     x_err, p_err = marginal_errors(field, state)
     if not (x_err <= MARGINAL_TOLERANCE and p_err <= MARGINAL_TOLERANCE):  # NaN is a breach
-        raise MarginalError(
+        raise ContractError(
             f"Wigner marginal mismatch (x: {x_err:.3g}, p: {p_err:.3g}) exceeds "
             f"{MARGINAL_TOLERANCE:g}"
         )
     f2d = field.to_field2d()
-    artifacts = {}
-    if "csv" in cfg.formats:
-        artifacts["wigner.csv"] = lambda path: write_field_csv(path, f2d)
-    if "pgm" in cfg.formats:
-        artifacts["wigner.pgm"] = lambda path: write_field_pgm(path, f2d, signed=True)
     return {
         **_expansion_derived(expansion),
-        "n_bar": cfg.n_bar(),
         "marginal_error_x": x_err,
         "marginal_error_p": p_err,
         "min_value": float(np.min(field.values)),
-    }, artifacts
+    }, {
+        "wigner.csv": lambda path: write_field_csv(path, f2d),
+        "wigner.pgm": lambda path: write_field_pgm(path, f2d, signed=True),
+    }
 
 
 def _run_subplanck(cfg: RunConfig) -> tuple[dict, Artifacts]:
     g = cfg.grid
     with_fringe = bool(g["fringe"])
-    columns = [
-        "q_squared", "time", "delta_x", "delta_p",
-        "action_A", "dim_a", "delta_ratio", "fringe_spacing",
-    ]
-    rows = []
     if g["q2_list"] is not None:
         pairs = sensitivity_reports(
             cfg.packet, g["q2_list"], g["mode"], cfg.system, with_fringe=with_fringe
         )
-        for report, delta in pairs:
-            rows.append(
-                (report.q_squared, report.time, report.delta_x_eff, report.delta_p_eff,
-                 report.action_A, report.dim_a, delta, report.fringe_spacing)
-            )
     else:
-        report = subplanck_dimension(cfg.packet, cfg.system, g["t"], with_fringe)
-        rows.append(
-            (report.q_squared, report.time, report.delta_x_eff, report.delta_p_eff,
-             report.action_A, report.dim_a, None, report.fringe_spacing)
-        )
-    artifacts = {}
-    if "csv" in cfg.formats:
-        artifacts["subplanck.csv"] = _table_csv(
+        pairs = [(subplanck_dimension(cfg.packet, cfg.system, g["t"], with_fringe), None)]
+    rows = [
+        (r.q_squared, r.time, r.delta_x_eff, r.delta_p_eff, r.action_A, r.dim_a, delta,
+         r.fringe_spacing)
+        for r, delta in pairs
+    ]
+    return {"rows": len(rows)}, {
+        "subplanck.csv": _table_csv(
             ["sub-Planck diagnostics (hbar units; times in T_rev)",
              "delta_ratio = dim_a / dim_a(q2=0, t=0.25); empty when not applicable"],
-            columns,
+            ["q_squared", "time", "delta_x", "delta_p",
+             "action_A", "dim_a", "delta_ratio", "fringe_spacing"],
             rows,
-        )
-    return {"n_bar": cfg.n_bar(), "rows": len(rows)}, artifacts
+        ),
+    }
 
 
 def _run_revivals(cfg: RunConfig) -> tuple[dict, Artifacts]:
@@ -439,8 +412,9 @@ def _run_revivals(cfg: RunConfig) -> tuple[dict, Artifacts]:
         "predictions": [dataclasses.asdict(p) for p in predictions],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    artifacts = {"revivals.json": lambda path: path.write_text(text)}
-    return {"n_bar": n_bar, "predictions": len(predictions)}, artifacts
+    return {"predictions": len(predictions)}, {
+        "revivals.json": lambda path: path.write_text(text),
+    }
 
 
 def _run_fidelity(cfg: RunConfig) -> tuple[dict, Artifacts]:
@@ -451,23 +425,18 @@ def _run_fidelity(cfg: RunConfig) -> tuple[dict, Artifacts]:
     scan = fidelity_scan(
         cfg.packet, cfg.system, (g["t0"], g["t1"]), g["nt"], expansion=expansion
     )
-    artifacts = {}
-    if "csv" in cfg.formats:
-        artifacts["fidelity.csv"] = _table_csv(
+    return {**_expansion_derived(expansion), "peak_count": len(scan.peaks)}, {
+        "fidelity.csv": _table_csv(
             ["|autocorrelation| versus time [T_rev]", f"captured_norm = {scan.captured_norm!r}"],
             ["t", "fidelity"],
             zip(scan.times, scan.values),
-        )
-        artifacts["fidelity_peaks.csv"] = _table_csv(
+        ),
+        "fidelity_peaks.csv": _table_csv(
             ["refined local maxima above 0.8 * captured_norm", "parabolic sub-grid refinement"],
             ["t", "fidelity"],
             scan.peaks,
-        )
-    return {
-        **_expansion_derived(expansion),
-        "n_bar": cfg.n_bar(),
-        "peak_count": len(scan.peaks),
-    }, artifacts
+        ),
+    }
 
 
 RUNNERS = {
@@ -490,6 +459,7 @@ def run(argv) -> int:
     try:
         cfg = resolve_config(args)
         derived, artifacts = RUNNERS[cfg.subcommand](cfg)
+        derived["n_bar"] = cfg.n_bar()
         try:
             cfg.output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -499,12 +469,13 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TruncationError, RowNormError, MarginalError) as exc:
+    except (TruncationError, ContractError) as exc:
         print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     for name, write in artifacts.items():
-        write(cfg.output_dir / name)
+        if name.rpartition(".")[2] in (*cfg.formats, "json"):  # json is not a --formats choice
+            write(cfg.output_dir / name)
     write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
     return EXIT_OK
 

@@ -7,8 +7,8 @@ output is byte-stable across runs.
 
 PGM (P5, 8 bit) layout: axis-1 indexes rows (row 0 = first axis-1 sample),
 axis-2 indexes columns. Unsigned fields are scaled by their global maximum and
-gamma-compressed; signed fields are mapped symmetrically around mid-gray. The
-mapping constants are recorded on the comment line.
+compressed by the exponent GAMMA; signed fields are mapped symmetrically around
+mid-gray. The mapping constants are recorded on the comment line.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FMT = "%.12g"
+GAMMA = 0.5  # exponent of the unsigned PGM mapping
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ def _pgm_bytes(quantized: np.ndarray, comment: str) -> bytes:
     return header + quantized.astype(np.uint8).tobytes()
 
 
-def write_field_pgm(path, f: Field2D, *, signed: bool = False, gamma: float = 0.5) -> None:
+def write_field_pgm(path, f: Field2D, *, signed: bool = False) -> None:
     """8-bit grayscale export.
 
-    Unsigned (density) fields: v -> (v / max)^gamma, then quantized.
+    Unsigned (density) fields: v -> (v / max)^GAMMA, then quantized.
     Signed (quasiprobability) fields: v -> 0.5 + 0.5 v / max|v|, no gamma.
     """
     v = f.values
@@ -100,8 +101,8 @@ def write_field_pgm(path, f: Field2D, *, signed: bool = False, gamma: float = 0.
         if np.min(v) < 0.0:
             raise ValueError("unsigned export requested for a field with negative values")
         scale = float(np.max(v))
-        mapped = (v / scale if scale > 0.0 else v) ** gamma
-        comment = f"mapping=unsigned gamma={FLOAT_FMT % gamma} max={FLOAT_FMT % scale}"
+        mapped = (v / scale if scale > 0.0 else v) ** GAMMA
+        comment = f"mapping=unsigned gamma={FLOAT_FMT % GAMMA} max={FLOAT_FMT % scale}"
     quantized = np.clip(np.rint(mapped * 255.0), 0, 255)
     Path(path).write_bytes(_pgm_bytes(quantized, comment))
 

@@ -29,11 +29,12 @@ from .wavepacket import (
     _mode_matrix,
     _warn_past_turnover,
     default_momentum_grid,
+    default_p_max,
     evolve,
     expand,
     fourier_amplitude,
 )
-from .wigner import DEFAULT_GRID, default_p_max, fringe_spacing, wigner_column
+from .wigner import DEFAULT_GRID, fringe_spacing, wigner_column
 
 SHORT_TIME = 0.25  # quarter of the revival time, where the two-way cat forms
 
@@ -175,11 +176,6 @@ def sensitivity_reports(
     return out
 
 
-def sensitivity_curve(
-    packet: PacketSpec,
-    q2_list,
-    mode: str,
-    base_cfg: SystemConfig | None = None,
-) -> list[tuple[float, float]]:
-    """Pairs (q2, delta) with delta = a_q / a(q2=0, t=0.25), sorted by q2."""
-    return [(r.q_squared, d) for r, d in sensitivity_reports(packet, q2_list, mode, base_cfg)]
+def sensitivity_curve(packet: PacketSpec, q2_list, mode: str) -> list[tuple[float, float]]:
+    """Pairs (q2, delta) with delta = a_q / a(q2=0, t=0.25), sorted by q2, on SystemConfig()."""
+    return [(r.q_squared, d) for r, d in sensitivity_reports(packet, q2_list, mode)]

@@ -44,6 +44,12 @@ DEFAULT_X_POINTS = 1024
 DEFAULT_P_POINTS = 1024
 STABLE_TAIL_TERMS = 3
 
+# Momentum half-range, in units of 1/delta_x, required beyond |p_bar|. Covers
+# the full occupied spectral band of revival-class states, where the marginal
+# checks close at the 1e-3 level. States caught mid-bounce keep genuine 1/p^2
+# coherence tails from the hard walls and no practical window closes them.
+P_COVER_FACTOR = 6.0
+
 # Domain of the error-free phase reduction (see phase_cycles).
 MAX_ABS_TIME = 1e200
 MAX_LEVEL = 9741  # largest n with n^4 < 2^53
@@ -359,10 +365,15 @@ def fourier_amplitude(coefficients, n_values, p_values) -> np.ndarray:
     return (-1j / math.sqrt(math.pi)) * (np.asarray(coefficients) @ modes)
 
 
-def default_momentum_grid(packet: PacketSpec, n_points: int = DEFAULT_P_POINTS) -> np.ndarray:
-    """Symmetric momentum grid covering both packet lobes plus 8-sigma tails."""
+def default_momentum_grid(packet: PacketSpec) -> np.ndarray:
+    """Symmetric DEFAULT_P_POINTS grid covering both packet lobes plus 8-sigma tails."""
     p_max = abs(packet.p_bar) + 8.0 / packet.delta_x
-    return np.linspace(-p_max, p_max, n_points)
+    return np.linspace(-p_max, p_max, DEFAULT_P_POINTS)
+
+
+def default_p_max(packet: PacketSpec) -> float:
+    """The least momentum half-range that covers the packet: |p_bar| + P_COVER_FACTOR/delta_x."""
+    return abs(packet.p_bar) + P_COVER_FACTOR / packet.delta_x
 
 
 def momentum_amplitude(state: EvolvedState, p_grid) -> np.ndarray:
@@ -382,10 +393,16 @@ def _check_coverage(packet: PacketSpec, p: np.ndarray) -> None:
     span = max(abs(p[0]), abs(p[-1]))
     if abs(p[0] + p[-1]) > 1e-9 * max(1.0, span):
         raise CoverageError("momentum grid must be symmetric about 0")
-    need = abs(packet.p_bar) + 6.0 / packet.delta_x
-    if span < need - 1e-9:
+    _check_reach(packet, span)
+
+
+def _check_reach(packet: PacketSpec, p_max: float) -> None:
+    """Raise CoverageError unless the half-range p_max of a grid reaches default_p_max."""
+    need = default_p_max(packet)
+    if p_max < need - 1e-9:
         raise CoverageError(
-            f"momentum grid reaches |p| = {span:.6g} but |p_bar| + 6/delta_x = {need:.6g} is required"
+            f"momentum grid half-range p_max = {p_max:.6g} is below "
+            f"|p_bar| + {P_COVER_FACTOR:g}/delta_x = {need:.6g}"
         )
 
 

@@ -35,7 +35,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Field2D, trapezoid_2d, trapezoid_weights
-from .wavepacket import CoverageError, EvolvedState, fourier_amplitude, position_density
+from .wavepacket import (
+    EvolvedState,
+    _check_reach,
+    default_p_max,
+    fourier_amplitude,
+    position_density,
+)
 
 DEFAULT_GRID = 256
 
@@ -43,11 +49,7 @@ DEFAULT_GRID = 256
 # through 1/(kappa + 2p).
 POLE_GAP = 1e-2
 
-# Momentum half-range, in units of 1/delta_x, required beyond |p_bar|. Covers
-# the full occupied spectral band of revival-class states, where the marginal
-# checks close at the 1e-3 level. States caught mid-bounce keep genuine 1/p^2
-# coherence tails from the hard walls and no practical window closes them.
-P_COVER_FACTOR = 6.0
+FRINGE_WINDOW = 0.25  # half-width in x around the centre where fringes are read
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,6 @@ class WignerField:
         )
 
 
-def default_p_max(packet) -> float:
-    return abs(packet.p_bar) + P_COVER_FACTOR / packet.delta_x
-
-
 def wigner(
     state: EvolvedState,
     nx: int = DEFAULT_GRID,
@@ -102,15 +100,11 @@ def wigner(
     """
     if nx < 2 or n_p < 2:
         raise ValueError(f"grid must have nx, n_p >= 2 (got {nx}, {n_p})")
-    need = default_p_max(state.packet)
     if p_max is None:
-        p_max = need
+        p_max = default_p_max(state.packet)
     if not math.isfinite(2.0 * p_max):
         raise ValueError(f"2 p_max must be finite (got p_max = {p_max})")
-    if p_max < need - 1e-9:
-        raise CoverageError(
-            f"p grid reaches |p| = {p_max:.6g} but |p_bar| + 6/delta_x = {need:.6g} is required"
-        )
+    _check_reach(state.packet, p_max)
     return _field(state, nx, np.linspace(-p_max, p_max, n_p))
 
 
@@ -246,15 +240,15 @@ def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     return x_err, p_err
 
 
-def fringe_spacing(f: WignerField, x_center: float, window: float = 0.25) -> float | None:
+def fringe_spacing(f: WignerField, x_center: float) -> float | None:
     """Interference fringe wavelength along x in the slice nearest p = 0.
 
     Returns twice the mean gap between consecutive zero crossings of W(x, ~0)
-    within +/- window of x_center, or None when fewer than two crossings exist
-    (no resolvable fringes).
+    within +/- FRINGE_WINDOW of x_center, or None when fewer than two crossings
+    exist (no resolvable fringes).
     """
     col = int(np.argmin(np.abs(f.p_axis)))
-    mask = np.abs(f.x_axis - x_center) <= window
+    mask = np.abs(f.x_axis - x_center) <= FRINGE_WINDOW
     x = f.x_axis[mask]
     w = f.values[mask, col]
     sign_flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]

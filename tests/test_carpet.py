@@ -43,10 +43,12 @@ class TestCarpet:
             assert np.max(np.abs(row - row[::-1])) < 1e-6
 
     def test_degenerate_single_row(self, ref_packet, cfg0, exp0):
-        field = carpet(ref_packet, cfg0, (0.1, 0.5), nt=1, nx=256)
-        assert field.values.shape == (1, 256)
-        want = position_density(evolve(exp0, 0.1, cfg0), field.axis2)
-        assert np.array_equal(field.values[0], want)
+        for window in ((0.1, 0.5), (0.3, 0.3)):
+            field = carpet(ref_packet, cfg0, window, nt=1, nx=256)
+            assert field.values.shape == (1, 256)
+            assert field.axis1.tolist() == [window[0]]
+            want = position_density(evolve(exp0, window[0], cfg0), field.axis2)
+            assert np.array_equal(field.values[0], want)
 
     def test_downsampling_consistency(self, ref_packet, cfg0):
         coarse = carpet(ref_packet, cfg0, (0.0, 0.2), nt=17, nx=128)

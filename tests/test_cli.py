@@ -137,9 +137,10 @@ class TestExitCodes:
         assert "marginal" in capsys.readouterr().err
 
     def test_uncovered_momentum_grid_is_exit_two(self, tmp_path, capsys):
-        rc = run_quiet(["wigner", "--pmax", "10", "--outdir", str(tmp_path)])
-        assert rc == 2
-        assert "|p_bar| + 6/delta_x" in capsys.readouterr().err
+        for pmax in ("10", "-200"):  # |-200| would cover the packet
+            rc = run_quiet(["wigner", "--pmax", pmax, "--outdir", str(tmp_path)])
+            assert rc == 2
+            assert "|p_bar| + 6/delta_x" in capsys.readouterr().err
 
     def test_time_past_phase_domain_is_exit_two(self, tmp_path):
         rc, err = run_process(
@@ -221,14 +222,22 @@ class TestArtifacts:
         assert header[0] == b"P5"
         assert header[2] == b"64 32"  # nx columns by nt rows
 
-    def test_formats_subset(self, tmp_path):
-        rc = run_quiet(
-            ["carpet", "--nt", "8", "--nx", "32", "--formats", "csv",
-             "--outdir", str(tmp_path)]
-        )
-        assert rc == 0
-        assert (tmp_path / "carpet.csv").exists()
-        assert not (tmp_path / "carpet.pgm").exists()
+    @pytest.mark.parametrize("formats", ["csv", "pgm", "csv,pgm"])
+    @pytest.mark.parametrize("argv, artifacts", [
+        (["spectrum", "--nmax", "4"], {"spectrum.csv", "timescales.csv"}),
+        (["carpet", "--nt", "8", "--nx", "32"], {"carpet.csv", "carpet.pgm"}),
+        (["wigner", "--nx", "32", "--np", "32"], {"wigner.csv", "wigner.pgm"}),
+        (["subplanck", "--q2-list", "0,2e-6"], {"subplanck.csv"}),
+        (["revivals", "--q2", "5e-4", "--smax", "3"], {"revivals.json"}),
+        (["fidelity", "--nt", "11"], {"fidelity.csv", "fidelity_peaks.csv"}),
+    ], ids=["spectrum", "carpet", "wigner", "subplanck", "revivals", "fidelity"])
+    def test_formats_subset(self, tmp_path, argv, artifacts, formats):
+        # --formats filters csv and pgm; revivals.json and manifest.txt are always written.
+        assert run_quiet([*argv, "--formats", formats, "--outdir", str(tmp_path)]) == 0
+        chosen = formats.split(",")
+        want = {n for n in artifacts if n.endswith(".json") or n.split(".")[1] in chosen}
+        assert {f.name for f in tmp_path.iterdir()} == want | {"manifest.txt"}
+        assert "n_bar" in manifest_entries(tmp_path / "manifest.txt", "derived")
 
     def test_spectrum_table(self, tmp_path):
         rc = run_quiet(

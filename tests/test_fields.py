@@ -62,7 +62,7 @@ class TestCsv:
 class TestPgm:
     def test_density_export_dimensions(self, small_field, tmp_path):
         path = tmp_path / "field.pgm"
-        write_field_pgm(path, small_field, signed=False, gamma=0.5)
+        write_field_pgm(path, small_field, signed=False)
         comment, data = parse_pgm(path)
         assert data.shape == (len(small_field.axis1), len(small_field.axis2))
         assert "gamma=0.5" in comment and "max=" in comment
@@ -74,7 +74,7 @@ class TestPgm:
         x = np.arange(3.0)
         values = np.array([[0.0, 1.0, 4.0]] * 2)      # quarter of max -> half gray
         path = tmp_path / "gamma.pgm"
-        write_field_pgm(path, Field2D(t, x, values), signed=False, gamma=0.5)
+        write_field_pgm(path, Field2D(t, x, values), signed=False)
         _, data = parse_pgm(path)
         assert list(data[0]) == [0, 128, 255]
 

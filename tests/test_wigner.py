@@ -225,8 +225,9 @@ class TestQuadrature:
             assert negativity_volume(f) >= -1e-3
 
     def test_coverage_error_for_narrow_p_grid(self, cat_state):
-        with pytest.raises(CoverageError):
-            wigner(cat_state, p_max=60.0)
+        for p_max in (60.0, -200.0):  # |-200| would cover the packet
+            with pytest.raises(CoverageError, match=r"\|p_bar\| \+ 6/delta_x"):
+                wigner(cat_state, p_max=p_max)
 
     @pytest.mark.parametrize("p_max", [math.nan, math.inf, 1e308])  # 2 * 1e308 overflows
     def test_non_finite_p_max_rejected(self, cat_state, p_max):
