@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field2D, trapezoid_weights
-from .spectrum import SystemConfig
-from .revivals import _parabolic_vertex
-from .wavepacket import PacketSpec, _density_rows, _mode_matrix, evolve, expand
+from .fields import Field2D, local_maxima, parabolic_vertex, trapezoid_weights
+from .spectrum import SystemConfig, _mode_matrix
+from .wavepacket import PacketSpec, _density_rows, evolve, expand
 
 DEFAULT_NT = 512
 DEFAULT_NX = 512
@@ -84,7 +83,7 @@ def dominant_period(times: np.ndarray, trace: np.ndarray) -> float:
     spec = np.abs(np.fft.rfft(sig, n=PAD_FACTOR * n)) ** 2
     freqs = np.fft.rfftfreq(PAD_FACTOR * n, d=dt)
     k = int(np.argmax(spec[1:])) + 1
-    shift = _parabolic_vertex(*spec[k - 1 : k + 2])[0] if k < len(spec) - 1 else 0.0
+    shift = parabolic_vertex(*spec[k - 1 : k + 2])[0] if k < len(spec) - 1 else 0.0
     f_peak = freqs[k] + shift * (freqs[1] - freqs[0])
     return 1.0 / f_peak
 
@@ -93,17 +92,12 @@ def count_maxima(trace: np.ndarray) -> int:
     """Number of strict local maxima rising at least PROMINENCE above the
     neighboring minima on both sides."""
     t = np.asarray(trace, float)
-    count = 0
-    for i in range(1, len(t) - 1):
-        if not (t[i] > t[i - 1] and t[i] >= t[i + 1]):
-            continue
-        left = t[: i][::-1]
-        right = t[i + 1 :]
-        drop_left = t[i] - _running_min_until_rise(left, t[i])
-        drop_right = t[i] - _running_min_until_rise(right, t[i])
-        if drop_left >= PROMINENCE and drop_right >= PROMINENCE:
-            count += 1
-    return count
+    return sum(
+        1
+        for i in local_maxima(t)
+        if t[i] - _running_min_until_rise(t[:i][::-1], t[i]) >= PROMINENCE
+        and t[i] - _running_min_until_rise(t[i + 1 :], t[i]) >= PROMINENCE
+    )
 
 
 def _running_min_until_rise(arm: np.ndarray, peak: float) -> float:

@@ -300,12 +300,11 @@ def _table_csv(header: list[str], columns: list[str], rows) -> Callable[[Path], 
     return write
 
 
+EXPANSION_KEYS = ("captured_norm", "n_min", "n_max")  # [derived] entries of every expansion
+
+
 def _expansion_derived(expansion) -> dict:
-    return {
-        "captured_norm": expansion.captured_norm,
-        "n_min": expansion.n_min,
-        "n_max": expansion.n_max,
-    }
+    return {key: getattr(expansion, key) for key in EXPANSION_KEYS}
 
 
 def _run_spectrum(cfg: RunConfig) -> tuple[dict, Artifacts]:
@@ -340,12 +339,8 @@ def _run_carpet(cfg: RunConfig) -> tuple[dict, Artifacts]:
         raise ContractError(
             f"carpet row norm drifts by {row_err:.3g} > {ROW_NORM_TOLERANCE:g}"
         )
-    return {
-        "captured_norm": field.meta["captured_norm"],
-        "n_min": field.meta["n_min"],
-        "n_max": field.meta["n_max"],
-        "row_norm_max_error": row_err,
-    }, {
+    derived = {key: field.meta[key] for key in EXPANSION_KEYS}
+    return {**derived, "row_norm_max_error": row_err}, {
         "carpet.csv": lambda path: write_field_csv(path, field),
         "carpet.pgm": lambda path: write_field_pgm(path, field, signed=False),
     }

@@ -9,6 +9,9 @@ PGM (P5, 8 bit) layout: axis-1 indexes rows (row 0 = first axis-1 sample),
 axis-2 indexes columns. Unsigned fields are scaled by their global maximum and
 compressed by the exponent GAMMA; signed fields are mapped symmetrically around
 mid-gray. The mapping constants are recorded on the comment line.
+
+Shared trace rules: trapezoid_weights (integrals and moments), local_maxima
+(fidelity peaks, centroid maxima), parabolic_vertex (sub-grid peak refinement).
 """
 
 from __future__ import annotations
@@ -120,3 +123,17 @@ def trapezoid_weights(axis) -> np.ndarray:
 def trapezoid_2d(axis1, axis2, values) -> float:
     """Double trapezoid integral of values over the grid."""
     return float(trapezoid_weights(axis1) @ values @ trapezoid_weights(axis2))
+
+
+def local_maxima(values) -> np.ndarray:
+    """Indices i of the interior samples with v[i-1] < v[i] >= v[i+1], ascending."""
+    v = np.asarray(values, dtype=float)
+    return np.flatnonzero((v[:-2] < v[1:-1]) & (v[1:-1] >= v[2:])) + 1
+
+
+def parabolic_vertex(left, mid, right):
+    """Vertex (offset from mid in sample spacings, height) of the parabola through
+    three equally spaced samples, elementwise; a flat triple gives (0, mid)."""
+    denom = left - 2.0 * mid + right
+    shift = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return shift, mid - 0.25 * (left - right) * shift

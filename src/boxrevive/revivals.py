@@ -18,6 +18,7 @@ from typing import Literal
 
 import numpy as np
 
+from .fields import local_maxima, parabolic_vertex
 from .spectrum import SystemConfig
 from .wavepacket import EigenExpansion, PacketSpec, autocorrelation, expand
 
@@ -49,17 +50,6 @@ class FidelityScan:
 
     def samples(self) -> list[tuple[float, float]]:
         return list(zip(self.times.tolist(), self.values.tolist()))
-
-
-def _parabolic_vertex(left, mid, right) -> tuple[float, float]:
-    """Vertex of the parabola through three equally spaced samples.
-
-    Returns the offset from the middle sample in units of the spacing and the
-    height there; a flat triple gives (0, mid).
-    """
-    denom = left - 2.0 * mid + right
-    shift = 0.5 * (left - right) / denom if denom != 0.0 else 0.0
-    return shift, mid - 0.25 * (left - right) * shift
 
 
 def enumerate_fractional(n_bar: int, cfg: SystemConfig, s_max: int) -> list[RevivalPrediction]:
@@ -118,15 +108,10 @@ def fidelity_scan(
     times = np.linspace(float(t_range[0]), float(t_range[1]), nt)
     values = np.abs(autocorrelation(exp, times, cfg))
 
-    step = times[1] - times[0]
-    threshold = PEAK_THRESHOLD * exp.captured_norm
-    peaks = []
-    for i in range(1, nt - 1):
-        v = values[i]
-        if v < threshold or not (v > values[i - 1] and v >= values[i + 1]):
-            continue
-        shift, v_peak = _parabolic_vertex(values[i - 1], v, values[i + 1])
-        peaks.append((float(times[i] + shift * step), float(v_peak)))
+    i = local_maxima(values)
+    i = i[values[i] >= PEAK_THRESHOLD * exp.captured_norm]
+    shift, heights = parabolic_vertex(values[i - 1], values[i], values[i + 1])
+    peaks = list(zip((times[i] + shift * (times[1] - times[0])).tolist(), heights.tolist()))
     return FidelityScan(
         times=times, values=values, peaks=peaks, captured_norm=exp.captured_norm
     )

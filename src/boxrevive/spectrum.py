@@ -16,6 +16,7 @@ regime this model is meant for.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,16 @@ def eigenfunction(n: int, x):
     """
     if int(n) != n or n < 1:
         raise ValueError(f"quantum number must be a positive integer (got {n})")
+    out = _mode_matrix([int(n)], x)[0]
+    return float(out) if np.isscalar(x) else out
+
+
+def _mode_matrix(n_values, x) -> np.ndarray:
+    """sqrt(2) sin(n pi x) for each level n and sample x in [0, 1]; shape (len(n), *shape(x))."""
     xv = np.asarray(x, dtype=float)
     if np.any(xv < 0.0) or np.any(xv > 1.0):
         raise ValueError("position outside the box [0, 1]")
-    out = math.sqrt(2.0) * np.sin(int(n) * math.pi * xv)
-    return float(out) if np.isscalar(x) else out
+    return math.sqrt(2.0) * np.sin(np.multiply.outer(n_values, math.pi * xv))
 
 
 def spectrum_turnover(cfg: SystemConfig) -> float:
@@ -123,11 +129,15 @@ def time_scales(n_bar: int, cfg: SystemConfig) -> TimeScales:
     t_sr4     = 1 / q2                         quartic super-revival time
 
     Raises PerturbativeRegimeError when 6 q2 n_bar^2 >= 1, where the shifted
-    revival time stops being a positive finite quantity.
+    revival time stops being a positive finite quantity, and ValueError when
+    n_bar^3 overflows a double.
     """
     if int(n_bar) != n_bar or n_bar < 1:
         raise ValueError(f"n_bar must be a positive integer (got {n_bar})")
     n_bar = int(n_bar)
+    if n_bar**3 > sys.float_info.max:
+        raise ValueError(f"n_bar^3 <= {sys.float_info.max:.6g} violated (got n_bar = "
+                         f"10^{math.log10(n_bar):.6g}); the time scales overflow past it")
     q2 = cfg.q_squared
     if q2 > 0.0 and 6.0 * q2 * n_bar**2 >= 1.0:
         raise PerturbativeRegimeError(

@@ -20,13 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import trapezoid_weights
-from .spectrum import SystemConfig
+from .spectrum import SystemConfig, _mode_matrix
 from .wavepacket import (
     DEFAULT_X_POINTS,
     EigenExpansion,
     PacketSpec,
     _check_coverage,
-    _mode_matrix,
     _warn_past_turnover,
     default_momentum_grid,
     default_p_max,
@@ -50,12 +49,11 @@ class SubPlanckReport:
     delta_x_eff: float
     delta_p_eff: float
     action_A: float
-    dim_a: float
     fringe_spacing: float | None = None
 
-    def __post_init__(self):
-        if not math.isclose(self.dim_a * self.action_A, 1.0, rel_tol=1e-12):
-            raise ValueError("dim_a must be the exact reciprocal of action_A")
+    @property
+    def dim_a(self) -> float:
+        return 1.0 / self.action_A
 
 
 def subplanck_dimension(
@@ -86,7 +84,6 @@ def subplanck_dimension(
         delta_x_eff=dx_eff,
         delta_p_eff=dp_eff,
         action_A=action,
-        dim_a=1.0 / action,
         fringe_spacing=spacing,
     )
 

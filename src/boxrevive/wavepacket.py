@@ -37,12 +37,14 @@ import numpy as np
 from .spectrum import (
     TURNOVER_WARN_FRACTION,
     SystemConfig,
+    _mode_matrix,
     spectrum_turnover,
 )
 
 DEFAULT_X_POINTS = 1024
 DEFAULT_P_POINTS = 1024
 STABLE_TAIL_TERMS = 3
+GAUSSIAN_CUTOFF = 40.0  # dx |k| past which exp(-(dx k)^2 / 2) < exp(-800) is 0.0 in doubles
 
 # Momentum half-range, in units of 1/delta_x, required beyond |p_bar|. Covers
 # the full occupied spectral band of revival-class states, where the marginal
@@ -90,6 +92,8 @@ class PacketSpec:
             raise ValueError(f"0 < x_bar < 1 violated (got {self.x_bar})")
         if not (self.delta_x > 0.0):
             raise ValueError(f"delta_x > 0 violated (got {self.delta_x})")
+        if not math.isfinite(self.delta_x):
+            raise ValueError(f"delta_x must be finite (got {self.delta_x})")
         if not math.isfinite(self.p_bar):
             raise ValueError(f"p_bar must be finite (got {self.p_bar})")
         if self.x_bar - 3.0 * self.delta_x <= 0.0 or self.x_bar + 3.0 * self.delta_x >= 1.0:
@@ -106,7 +110,6 @@ class EigenExpansion:
     """Truncated eigenbasis coefficients a_n for n in [n_min, n_max] (inclusive)."""
 
     n_min: int
-    n_max: int
     coefficients: np.ndarray
     captured_norm: float
     packet: PacketSpec
@@ -115,10 +118,12 @@ class EigenExpansion:
         coeffs = np.asarray(self.coefficients, dtype=complex)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) != self.n_max - self.n_min + 1:
-            raise ValueError("coefficient count does not match the n range")
         if self.n_min < 1:
             raise ValueError("n_min must be >= 1")
+
+    @property
+    def n_max(self) -> int:
+        return self.n_min + len(self.coefficients) - 1
 
     @property
     def n_values(self) -> np.ndarray:
@@ -131,7 +136,6 @@ class EvolvedState:
 
     expansion: EigenExpansion
     time: float
-    cfg: SystemConfig
 
     @property
     def packet(self) -> PacketSpec:
@@ -141,9 +145,18 @@ class EvolvedState:
 def _raw_coefficient(n: int, packet: PacketSpec) -> complex:
     dx, xb, pb = packet.delta_x, packet.x_bar, packet.p_bar
     pref = math.sqrt(4.0 * dx * math.pi / math.sqrt(math.pi))
-    plus = cmath.exp(1j * n * math.pi * xb) * math.exp(-(dx**2) * (pb + n * math.pi) ** 2 / 2.0)
-    minus = cmath.exp(-1j * n * math.pi * xb) * math.exp(-(dx**2) * (pb - n * math.pi) ** 2 / 2.0)
+    plus = cmath.exp(1j * n * math.pi * xb) * _gaussian(dx, pb + n * math.pi)
+    minus = cmath.exp(-1j * n * math.pi * xb) * _gaussian(dx, pb - n * math.pi)
     return pref / 2j * (plus - minus)
+
+
+def _gaussian(dx: float, k: float) -> float:
+    """exp(-dx^2 k^2 / 2); 0.0 once dx |k| > GAUSSIAN_CUTOFF, where it underflows anyway."""
+    u = dx * abs(k)
+    try:
+        return 0.0 if u > GAUSSIAN_CUTOFF else math.exp(-(dx**2) * k**2 / 2.0)
+    except OverflowError:  # dx or |k| alone is past 1e154, their product u is not
+        return math.exp(-u * u / 2.0)
 
 
 def expand(packet: PacketSpec, cfg: SystemConfig) -> EigenExpansion:
@@ -191,7 +204,7 @@ def expand(packet: PacketSpec, cfg: SystemConfig) -> EigenExpansion:
         captured = float(cumulative)
 
     expansion = EigenExpansion(
-        n_min=n_min, n_max=n, coefficients=kept, captured_norm=captured, packet=packet
+        n_min=n_min, coefficients=kept, captured_norm=captured, packet=packet
     )
     _warn_past_turnover(expansion, cfg, stacklevel=3)
     return expansion
@@ -319,15 +332,9 @@ def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EvolvedSta
     cycles = phase_cycles(t, cfg.q_squared, expansion.n_values)
     phases = np.exp(-2j * math.pi * cycles)
     evolved = EigenExpansion(
-        expansion.n_min, expansion.n_max, expansion.coefficients * phases,
-        expansion.captured_norm, expansion.packet,
+        expansion.n_min, expansion.coefficients * phases, expansion.captured_norm, expansion.packet
     )
-    return EvolvedState(expansion=evolved, time=t, cfg=cfg)
-
-
-def _mode_matrix(n_values, x_grid) -> np.ndarray:
-    """sqrt(2) sin(n pi x) sampled for every (n, x) pair; shape (len(n), len(x))."""
-    return math.sqrt(2.0) * np.sin(np.outer(n_values, math.pi * np.asarray(x_grid, float)))
+    return EvolvedState(expansion=evolved, time=t)
 
 
 def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -339,10 +346,7 @@ def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray
 
 def position_density(state: EvolvedState, x_grid) -> np.ndarray:
     """|psi(x, t)|^2 at each grid point; nonnegative by construction."""
-    xv = np.asarray(x_grid, dtype=float)
-    if np.any(xv < 0.0) or np.any(xv > 1.0):
-        raise ValueError("position grid leaves the box [0, 1]")
-    modes = _mode_matrix(state.expansion.n_values, xv)
+    modes = _mode_matrix(state.expansion.n_values, x_grid)
     return _density_rows(state.expansion.coefficients[None, :], modes)[0]
 
 

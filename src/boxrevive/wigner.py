@@ -79,8 +79,6 @@ class WignerField:
                 "axis1": "position [L]",
                 "axis2": "momentum [hbar/L]",
                 "values": "Wigner quasiprobability [1/hbar]",
-                "time": self.time,
-                "captured_norm": self.captured_norm,
             },
         )
 
@@ -251,12 +249,8 @@ def fringe_spacing(f: WignerField, x_center: float) -> float | None:
     mask = np.abs(f.x_axis - x_center) <= FRINGE_WINDOW
     x = f.x_axis[mask]
     w = f.values[mask, col]
-    sign_flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
-    if len(sign_flips) < 2:
+    flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
+    if len(flips) < 2:
         return None
-    crossings = []
-    for i in sign_flips:
-        frac = w[i] / (w[i] - w[i + 1])
-        crossings.append(x[i] + frac * (x[i + 1] - x[i]))
-    gaps = np.diff(crossings)
-    return 2.0 * float(np.mean(gaps))
+    crossings = x[flips] + w[flips] / (w[flips] - w[flips + 1]) * (x[flips + 1] - x[flips])
+    return 2.0 * float(np.mean(np.diff(crossings)))

@@ -126,13 +126,16 @@ class TestExitCodes:
         )
         assert rc == 1
 
-    def test_marginal_breach_is_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
         # Mid-bounce states keep 1/p^2 coherence tails from the hard walls;
         # their position marginal cannot close at the contract tolerance.
-        rc = run_quiet(
-            ["wigner", "--q2", "5e-4", "--t", "0.25", "--nx", "64", "--np", "128",
-             "--outdir", str(tmp_path)]
-        )
+        ["--q2", "5e-4", "--t", "0.25", "--nx", "64", "--np", "128"],
+        # An 8-point grid cannot resolve the packet, whatever p_max is.
+        ["--nx", "8", "--np", "8"],
+        ["--pmax", "1e307", "--nx", "8", "--np", "8"],
+    ], ids=["mid_bounce", "coarse_grid", "coarse_grid_pmax_1e307"])
+    def test_marginal_breach_is_exit_one(self, tmp_path, capsys, argv):
+        rc = run_quiet(["wigner", *argv, "--outdir", str(tmp_path)])
         assert rc == 1
         assert "marginal" in capsys.readouterr().err
 
@@ -180,6 +183,27 @@ class TestExitCodes:
         assert rc == 1
         assert "row norm" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, code, needle", [
+        # Overflowing packets end as their finite neighbours (--dx 100,
+        # --pbar 5000) do: the basis cap is reached with no norm captured.
+        ("wigner --dx 1e300", 1, "basis cap"),
+        ("subplanck --dx 1e300", 1, "basis cap"),
+        ("fidelity --dx 1e200", 1, "basis cap"),
+        ("carpet --pbar 1e300", 1, "basis cap"),
+        ("fidelity --dx 1e-300 --pbar 1e300", 1, "basis cap"),  # dx |pbar| = 1, pbar^2 overflows
+        ("carpet --dx 100", 1, "basis cap"),
+        ("carpet --pbar 5000", 1, "basis cap"),
+        ("carpet --dx inf", 2, "delta_x"),
+        ("spectrum --pbar 1e308", 2, "n_bar^3"),
+        ("revivals --pbar 1e308 --q2 1e-5", 2, "n_bar^3"),
+        ("spectrum --nbar-override " + "1" * 130, 2, "n_bar^3"),
+    ])
+    def test_overflowing_packet_has_no_traceback(self, tmp_path, command, code, needle):
+        rc, err = run_process([*command.split(), "--outdir", str(tmp_path / "out")])
+        assert rc == code
+        assert needle in err
+        assert "Traceback" not in err
 
     def test_outdir_that_is_a_file_is_exit_two(self, tmp_path):
         taken = tmp_path / "taken"

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boxrevive import Field2D, read_field_csv, write_field_csv, write_field_pgm
-from boxrevive.fields import field_csv_text, trapezoid_2d
+from boxrevive.fields import field_csv_text, local_maxima, parabolic_vertex, trapezoid_2d
 
 
 @pytest.fixture
@@ -93,3 +95,30 @@ class TestPgm:
         f = Field2D(np.arange(2.0), np.arange(2.0), np.array([[0.0, -1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             write_field_pgm(tmp_path / "bad.pgm", f, signed=False)
+
+
+class TestSharedRules:
+    # Small integers make ties and plateaus common.
+    @given(st.lists(st.integers(-3, 3), min_size=0, max_size=40))
+    def test_local_maxima_match_the_index_loop(self, trace):
+        v = np.array(trace, dtype=float)
+        oracle = [i for i in range(1, len(v) - 1) if v[i - 1] < v[i] >= v[i + 1]]
+        assert local_maxima(v).tolist() == oracle
+
+    def test_parabolic_vertex_on_arrays_is_the_scalar_formula(self):
+        def scalar(left, mid, right):
+            denom = left - 2.0 * mid + right
+            shift = 0.5 * (left - right) / denom if denom != 0.0 else 0.0
+            return shift, mid - 0.25 * (left - right) * shift
+
+        # Small integers give flat and linear triples, normals the general case.
+        rng = np.random.default_rng(5)
+        samples = np.hstack([rng.normal(size=(3, 200)), rng.integers(-2, 3, (3, 200))])
+        got = np.stack(parabolic_vertex(*samples), axis=1)
+        want = np.array([scalar(*triple) for triple in samples.T])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("triple", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0), (-0.5, 0.0, 0.5)])
+    def test_flat_triple_gives_zero_shift_and_mid(self, triple):
+        shift, height = parabolic_vertex(*triple)
+        assert (shift, height) == (0.0, triple[1])

@@ -81,6 +81,13 @@ class TestEigenfunction:
         with pytest.raises(ValueError):
             eigenfunction(1, np.array([0.2, -0.1]))
 
+    def test_array_keeps_its_shape(self):
+        x = np.array([[0.0, 0.13, 0.5], [0.77, 0.999, 1.0]])
+        for n in (1, 16, 199):
+            u = eigenfunction(n, x)
+            assert u.shape == (2, 3)
+            assert np.max(np.abs(u - math.sqrt(2.0) * np.sin(n * math.pi * x))) < 2e-13
+
     def test_orthonormal_on_grid(self):
         x = np.linspace(0.0, 1.0, 4097)
         u3 = eigenfunction(3, x)
@@ -134,6 +141,13 @@ class TestTimeScales:
         assert ts.t_rev == 1.0
         assert ts.t_rev_bar == 1.0
         assert ts.t_sr3 is None and ts.t_sr4 is None
+
+    def test_rejects_n_bar_whose_cube_overflows(self):
+        assert time_scales(10**102, SystemConfig(0.0)).t_cl == 1.0 / 2e102
+        with pytest.raises(ValueError, match=r"n_bar\^3"):
+            time_scales(10**103, SystemConfig(0.0))
+        with pytest.raises(ValueError, match=r"n_bar\^3"):
+            time_scales(10**400, SystemConfig(1e-5))
 
     def test_rejects_nonperturbative_regime(self):
         with pytest.raises(PerturbativeRegimeError):

@@ -26,6 +26,7 @@ from boxrevive import (
 from boxrevive.wavepacket import (
     MAX_ABS_TIME,
     MAX_LEVEL,
+    _gaussian,
     fourier_amplitude,
     phase_cycles,
 )
@@ -131,10 +132,22 @@ class TestExpansion:
         {"x_bar": 1.0, "delta_x": 0.1, "p_bar": 0.0},
         {"x_bar": 0.5, "delta_x": 0.0, "p_bar": 0.0},
         {"x_bar": 0.5, "delta_x": -0.1, "p_bar": 0.0},
+        {"x_bar": 0.5, "delta_x": math.inf, "p_bar": 0.0},
     ])
     def test_invalid_packets_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PacketSpec(**kwargs)
+
+    @given(packet=safe_packets)
+    @settings(max_examples=25, deadline=None)
+    def test_n_max_follows_the_coefficients(self, packet):
+        expansion = expand(packet, SystemConfig(0.0))
+        assert expansion.n_max == expansion.n_min + len(expansion.coefficients) - 1
+        assert expansion.n_values[-1] == expansion.n_max
+
+    @given(dx=st.floats(1e-3, 1e3), k=st.floats(-1e5, 1e5))
+    def test_gaussian_cutoff_keeps_the_formula_bits(self, dx, k):
+        assert _gaussian(dx, k) == math.exp(-(dx**2) * k**2 / 2.0)
 
     @given(packet=safe_packets)
     @settings(max_examples=25, deadline=None)

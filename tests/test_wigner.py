@@ -121,7 +121,7 @@ class TestMarginalErrors:
         assert p_err < 1e-13
         coeffs = state.expansion.coefficients.copy()
         coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-10
-        kicked = EvolvedState(replace(state.expansion, coefficients=coeffs), state.time, state.cfg)
+        kicked = EvolvedState(replace(state.expansion, coefficients=coeffs), state.time)
         _, kicked_err = marginal_errors(field, kicked)
         assert kicked_err > 1e-12
 
