@@ -1,54 +1,43 @@
-"""Space-time probability density carpets |psi(x, t)|^2 on rectangular grids."""
+"""Space-time probability density carpets |psi(x, t)|^2 on rectangular grids.
+
+A carpet takes its time window and both grid sizes explicitly; the CLI
+parameter table holds the defaults (window [0, 0.5], 512 x 512).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field2D, local_maxima, parabolic_vertex, trapezoid_weights
+from .fields import Field2D, local_maxima, parabolic_vertex, trapezoid_weights, uniform_times
 from .spectrum import SystemConfig, _mode_matrix
 from .wavepacket import PacketSpec, _density_rows, evolve, expand
 
-DEFAULT_NT = 512
-DEFAULT_NX = 512
-BLOCK_ROWS = 16  # rows whose densities one product forms; the scratch stays BLOCK_ROWS x nx
+BLOCK_ROWS = 16  # rows whose densities one product forms
 PAD_FACTOR = 8  # zero padding of the dominant_period periodogram, in trace lengths
 PROMINENCE = 0.01  # least rise of a count_maxima peak above the minima on both sides
 
 
-def carpet(
-    packet: PacketSpec,
-    cfg: SystemConfig,
-    t_range=(0.0, 0.5),
-    nt: int = DEFAULT_NT,
-    nx: int = DEFAULT_NX,
-) -> Field2D:
+def carpet(packet: PacketSpec, cfg: SystemConfig, t_range, nt: int, nx: int) -> Field2D:
     """Density sampled on nt uniform times (rows) by nx uniform positions.
 
     Rows are mutually independent time slices, each evolved on its own and
     turned into densities BLOCK_ROWS rows per product; each row integrates
-    (trapezoid) to the captured norm of the underlying expansion. nt = 1
-    degenerates to a single row at t0.
+    (trapezoid) to the captured norm of the underlying expansion. The window
+    follows `fields.uniform_times`; nt = 1 gives the single row t0.
     """
-    t0, t1 = float(t_range[0]), float(t_range[1])
-    if not (t0 >= 0.0 and t1 >= t0):
-        raise ValueError(f"time window must satisfy t1 >= t0 >= 0 (got [{t0}, {t1}])")
     if nt < 1 or nx < 2:
         raise ValueError(f"grid must have nt >= 1, nx >= 2 (got nt={nt}, nx={nx})")
-    if nt > 1 and t1 <= t0:
-        raise ValueError(f"time window must satisfy t1 > t0 (got [{t0}, {t1}])")
-    times = np.linspace(t0, t1, nt)
+    times = uniform_times(t_range, nt)
 
     expansion = expand(packet, cfg)
     x_grid = np.linspace(0.0, 1.0, nx)
     modes = _mode_matrix(expansion.n_values, x_grid)
 
-    values = np.empty((len(times), nx))
-    rows = np.empty((min(BLOCK_ROWS, len(times)), len(expansion.n_values)), dtype=complex)
-    for start in range(0, len(times), BLOCK_ROWS):
+    values = np.empty((nt, nx))
+    for start in range(0, nt, BLOCK_ROWS):
         block = times[start : start + BLOCK_ROWS]
-        for i, t in enumerate(block):
-            rows[i] = evolve(expansion, float(t), cfg).expansion.coefficients
-        values[start : start + len(block)] = _density_rows(rows[: len(block)], modes)
+        rows = np.array([evolve(expansion, float(t), cfg).expansion.coefficients for t in block])
+        values[start : start + len(block)] = _density_rows(rows, modes)
 
     meta = {
         "axis1": "time [T_rev]",

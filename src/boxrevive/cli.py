@@ -12,10 +12,11 @@ makes no directory.
 Exit status 2 means a configuration error: a value that does not parse or
 fails its check, an output directory that cannot be created, or a
 precondition the library checks during the run (packet and system
-parameters, grid sizes and time windows, momentum-grid coverage, the time and
-level domain of the phase reduction); the message names the broken
-precondition. Numerical contract failures (truncation, row-norm and
-marginal-check breaches) exit with status 1.
+parameters, the captured-norm bound of the expansion, grid sizes and time
+windows, momentum-grid coverage, the time and level domain of the phase
+reduction); the message names the broken precondition. Numerical contract
+failures (truncation, row-norm and marginal-check breaches) exit with
+status 1.
 
 Flags may also be supplied through a key = value config file (any section
 names). The key of flag --some-name is some_name (some-name is accepted too);
@@ -37,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .carpet import DEFAULT_NT, DEFAULT_NX, carpet
+from .carpet import carpet
 from .fields import FLOAT_FMT, trapezoid_weights, write_field_csv, write_field_pgm
 from .revivals import enumerate_fractional, fidelity_scan
 from .spectrum import (
@@ -118,8 +119,8 @@ SUBCOMMANDS = {
     "carpet": ("space-time probability density", (
         Param("t0", float, 0.0, None, "window start [T_rev]"),
         Param("t1", float, 0.5, None, "window end [T_rev]"),
-        Param("nt", int, DEFAULT_NT, None, "time samples"),
-        Param("nx", int, DEFAULT_NX, None, "position samples"),
+        Param("nt", int, 512, None, "time samples"),
+        Param("nx", int, 512, None, "position samples"),
     )),
     "wigner": ("phase-space Wigner distribution", (
         Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev]"),
@@ -144,7 +145,7 @@ SUBCOMMANDS = {
         Param("smax", int, 4, None, "largest denominator of the quartic clock"),
     )),
     "fidelity": ("|autocorrelation| scan with peak detection", (
-        Param("t0", float, 0.9, AT_LEAST_0, "scan start [T_rev]"),
+        Param("t0", float, 0.9, None, "scan start [T_rev]"),
         Param("t1", float, 1.1, None, "scan end [T_rev]"),
         Param("nt", int, 2001, None, "scan samples"),
     )),
@@ -414,15 +415,14 @@ def _run_revivals(cfg: RunConfig) -> tuple[dict, Artifacts]:
 
 def _run_fidelity(cfg: RunConfig) -> tuple[dict, Artifacts]:
     g = cfg.grid
-    if not g["t1"] > g["t0"]:
-        raise ValueError(f"t1 > t0 violated (got [{g['t0']}, {g['t1']}])")
     expansion = expand(cfg.packet, cfg.system)
     scan = fidelity_scan(
         cfg.packet, cfg.system, (g["t0"], g["t1"]), g["nt"], expansion=expansion
     )
     return {**_expansion_derived(expansion), "peak_count": len(scan.peaks)}, {
         "fidelity.csv": _table_csv(
-            ["|autocorrelation| versus time [T_rev]", f"captured_norm = {scan.captured_norm!r}"],
+            ["|autocorrelation| versus time [T_rev]",
+             f"captured_norm = {expansion.captured_norm!r}"],
             ["t", "fidelity"],
             zip(scan.times, scan.values),
         ),

@@ -10,12 +10,14 @@ axis-2 indexes columns. Unsigned fields are scaled by their global maximum and
 compressed by the exponent GAMMA; signed fields are mapped symmetrically around
 mid-gray. The mapping constants are recorded on the comment line.
 
-Shared trace rules: trapezoid_weights (integrals and moments), local_maxima
-(fidelity peaks, centroid maxima), parabolic_vertex (sub-grid peak refinement).
+Shared trace rules: uniform_times (the time window of carpets and fidelity
+scans), trapezoid_weights (integrals and moments), local_maxima (fidelity
+peaks, centroid maxima), parabolic_vertex (sub-grid peak refinement).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,7 +91,7 @@ def _pgm_bytes(quantized: np.ndarray, comment: str) -> bytes:
     return header + quantized.astype(np.uint8).tobytes()
 
 
-def write_field_pgm(path, f: Field2D, *, signed: bool = False) -> None:
+def write_field_pgm(path, f: Field2D, *, signed: bool) -> None:
     """8-bit grayscale export.
 
     Unsigned (density) fields: v -> (v / max)^GAMMA, then quantized.
@@ -108,6 +110,22 @@ def write_field_pgm(path, f: Field2D, *, signed: bool = False) -> None:
         comment = f"mapping=unsigned gamma={FLOAT_FMT % GAMMA} max={FLOAT_FMT % scale}"
     quantized = np.clip(np.rint(mapped * 255.0), 0, 255)
     Path(path).write_bytes(_pgm_bytes(quantized, comment))
+
+
+def uniform_times(t_range, n: int) -> np.ndarray:
+    """n uniform times over the window t_range = (t0, t1), both ends included.
+
+    The window must be finite with t1 >= t0 >= 0, and t1 > t0 unless n = 1.
+    It is checked before any time is formed, so no sample is NaN.
+    """
+    t0, t1 = float(t_range[0]), float(t_range[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"time window must be finite (got [{t0}, {t1}])")
+    if not (t0 >= 0.0 and t1 >= t0):
+        raise ValueError(f"time window must satisfy t1 >= t0 >= 0 (got [{t0}, {t1}])")
+    if n > 1 and t1 <= t0:
+        raise ValueError(f"time window must satisfy t1 > t0 (got [{t0}, {t1}])")
+    return np.linspace(t0, t1, n)
 
 
 def trapezoid_weights(axis) -> np.ndarray:

@@ -7,6 +7,10 @@ are simultaneously rational fractions of both super-revival clocks,
 
 with each (r, s) pair coprime. Predictions are enumerated with exact rational
 arithmetic; floats appear only when a prediction is handed to a scan.
+
+A fidelity scan samples |A(t)| on a window checked by `fields.uniform_times`
+and returns plain data: the samples, their refined peaks and the captured
+norm the peak threshold is measured against.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from .fields import local_maxima, parabolic_vertex
+from .fields import local_maxima, parabolic_vertex, uniform_times
 from .spectrum import SystemConfig
 from .wavepacket import EigenExpansion, PacketSpec, autocorrelation, expand
 
@@ -41,15 +45,12 @@ class RevivalPrediction:
 
 @dataclass(frozen=True)
 class FidelityScan:
-    """Uniform |autocorrelation| samples plus refined local maxima."""
+    """Uniform |autocorrelation| samples, refined local maxima and the captured norm."""
 
     times: np.ndarray
     values: np.ndarray
     peaks: list[tuple[float, float]]
     captured_norm: float
-
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.values.tolist()))
 
 
 def enumerate_fractional(n_bar: int, cfg: SystemConfig, s_max: int) -> list[RevivalPrediction]:
@@ -99,13 +100,14 @@ def fidelity_scan(
 ) -> FidelityScan:
     """Scan |<psi(0)|psi(t)>| uniformly over t_range with nt samples.
 
-    Local maxima above PEAK_THRESHOLD times the captured norm are refined to
-    sub-grid accuracy with a parabola through the three bracketing samples.
+    The window follows `fields.uniform_times`, so t1 > t0 >= 0. Local maxima
+    above PEAK_THRESHOLD times the captured norm are refined to sub-grid
+    accuracy with a parabola through the three bracketing samples.
     """
     if nt < 3:
         raise ValueError(f"nt >= 3 required for a scan (got {nt})")
+    times = uniform_times(t_range, nt)
     exp = expansion if expansion is not None else expand(packet, cfg)
-    times = np.linspace(float(t_range[0]), float(t_range[1]), nt)
     values = np.abs(autocorrelation(exp, times, cfg))
 
     i = local_maxima(values)

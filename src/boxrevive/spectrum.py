@@ -115,8 +115,11 @@ def spectrum_turnover(cfg: SystemConfig) -> float:
 
 
 def mean_quantum_number(p_bar: float) -> int:
-    """Mean quantum number round(p_bar / pi) selected by a packet of momentum p_bar."""
-    return int(round(p_bar / math.pi))
+    """Mean quantum number round(|p_bar| / pi) selected by a packet of momentum p_bar.
+
+    |a_n| does not change under p_bar -> -p_bar, so neither does n_bar.
+    """
+    return int(round(abs(p_bar) / math.pi))
 
 
 def time_scales(n_bar: int, cfg: SystemConfig) -> TimeScales:

@@ -7,8 +7,9 @@ default_momentum_grid (|p| <= |p_bar| + 8/delta_x), each from trapezoid sums
 forms c G_k conj(c) of the coefficient vector c. The matrices G_k depend only
 on the packet and its level range, so they are built once and cached; a report
 then costs one evolve and a few (levels x levels) products, with no grid. The
-optional fringe-spacing estimate from the Wigner slice is reported alongside
-the moment-based value and never mixed into it.
+optional fringe-spacing estimate is read from `wigner.fringe_column`, the
+Wigner slice nearest p = 0 that `wigner` chooses, and is reported alongside
+the moment-based value, never mixed into it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .wavepacket import (
     _check_coverage,
     _warn_past_turnover,
     default_momentum_grid,
-    default_p_max,
     evolve,
     expand,
     fourier_amplitude,
 )
-from .wigner import DEFAULT_GRID, fringe_spacing, wigner_column
+from .wigner import fringe_column, fringe_spacing
 
 SHORT_TIME = 0.25  # quarter of the revival time, where the two-way cat forms
 
@@ -77,7 +77,7 @@ def subplanck_dimension(
     action = dx_eff * dp_eff
     spacing = None
     if with_fringe:
-        spacing = fringe_spacing(wigner_column(state, _fringe_momentum(packet)), packet.x_bar)
+        spacing = fringe_spacing(fringe_column(state), packet.x_bar)
     return SubPlanckReport(
         time=t,
         q_squared=cfg.q_squared,
@@ -123,13 +123,6 @@ def _form_std(forms: np.ndarray, coefficients: np.ndarray) -> float:
     norm, first, second = ((forms @ coefficients.conj()) @ coefficients).real
     mean = first / norm
     return math.sqrt(max(second / norm - mean * mean, 0.0))
-
-
-def _fringe_momentum(packet: PacketSpec) -> float:
-    """The momentum nearest 0 on the default grid of `wigner`, where fringes are read."""
-    p_max = default_p_max(packet)
-    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
-    return float(p_axis[np.argmin(np.abs(p_axis))])
 
 
 def evaluation_time(q2: float, mode: str) -> float:

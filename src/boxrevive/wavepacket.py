@@ -167,7 +167,17 @@ def expand(packet: PacketSpec, cfg: SystemConfig) -> EigenExpansion:
     below epsilon/100). Leading terms below epsilon/100 are dropped from the
     stored range. Raises TruncationError (carrying the achieved norm) when the
     basis cap is reached first.
+
+    A box state has norm at most 1, so a cumulative norm past 1 + epsilon
+    (or NaN) means the closed form no longer describes the packet, a Gaussian
+    much wider than the box: ValueError naming the bound. A delta_x whose
+    prefactor 4 pi delta_x overflows a double is a ValueError too.
     """
+    if not math.isfinite(4.0 * packet.delta_x * math.pi):
+        raise ValueError(
+            f"4 pi delta_x must be finite (got delta_x = {packet.delta_x:g}); "
+            "the coefficient prefactor overflows"
+        )
     eps = cfg.truncation_epsilon
     floor = eps / 100.0
     coeffs = []
@@ -188,6 +198,11 @@ def expand(packet: PacketSpec, cfg: SystemConfig) -> EigenExpansion:
         coeffs.append(a)
         weights.append(w)
         cumulative += w
+        if not cumulative <= 1.0 + eps:
+            raise ValueError(
+                f"captured norm <= 1 + epsilon = {1.0 + eps:.12g} violated (got "
+                f"{cumulative:.12g} over levels 1..{n}); the packet does not fit in the box"
+            )
         tail_run = tail_run + 1 if w < floor else 0
         if cumulative > 1.0 - eps and tail_run >= STABLE_TAIL_TERMS:
             break

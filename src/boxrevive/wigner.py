@@ -119,6 +119,13 @@ def wigner_column(state: EvolvedState, p: float, nx: int = DEFAULT_GRID) -> Wign
     return _field(state, nx, np.array([float(p)]))
 
 
+def fringe_column(state: EvolvedState) -> WignerField:
+    """The column of the default `wigner` grid nearest p = 0, where fringes are read."""
+    p_max = default_p_max(state.packet)
+    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
+    return wigner_column(state, float(p_axis[np.argmin(np.abs(p_axis))]))
+
+
 def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     keys, w_cos, w_sin = _key_weights(state.expansion.coefficients, state.expansion.n_values)
     m = np.arange(len(w_cos))

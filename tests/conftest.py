@@ -18,6 +18,14 @@ Q2_WEAK = 1e-5
 Q2_MODERATE = 5e-4
 
 
+@pytest.fixture(params=[
+    (0.0, np.inf), (np.nan, 0.5), (0.0, np.nan), (-np.inf, 0.5), (0.5, 0.2), (-0.1, 0.2),
+], ids=["t1_inf", "t0_nan", "t1_nan", "t0_minus_inf", "reversed", "negative"])
+def bad_window(request):
+    """A non-finite, reversed or negative time window, which every sampler rejects."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def ref_packet():
     return PacketSpec(x_bar=0.5, delta_x=0.1, p_bar=50.0)

@@ -66,6 +66,10 @@ class TestCarpet:
         with pytest.raises(ValueError):
             carpet(ref_packet, cfg0, (0.0, 0.5), nt=8, nx=1)
 
+    def test_window_rejected_by_name(self, ref_packet, cfg0, bad_window):
+        with pytest.raises(ValueError, match="time window"):
+            carpet(ref_packet, cfg0, bad_window, nt=2, nx=64)
+
 
 class TestCentroid:
     def test_initial_centroid_at_packet_mean(self, carpet0):

@@ -195,6 +195,7 @@ class TestExitCodes:
         ("carpet --dx 100", 1, "basis cap"),
         ("carpet --pbar 5000", 1, "basis cap"),
         ("carpet --dx inf", 2, "delta_x"),
+        ("carpet --dx 1e308", 2, "4 pi delta_x must be finite"),  # the prefactor overflows
         ("spectrum --pbar 1e308", 2, "n_bar^3"),
         ("revivals --pbar 1e308 --q2 1e-5", 2, "n_bar^3"),
         ("spectrum --nbar-override " + "1" * 130, 2, "n_bar^3"),
@@ -203,7 +204,40 @@ class TestExitCodes:
         rc, err = run_process([*command.split(), "--outdir", str(tmp_path / "out")])
         assert rc == code
         assert needle in err
+        assert not re.search(r"\bnan\b", err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        # Packets much wider than the box: the closed form counts more than
+        # the norm of a box state.
+        "fidelity --dx 10 --pbar -3.141592653589793 --nt 11",
+        "fidelity --dx 0.3 --nt 11",
+        "carpet --dx 1.0 --xbar 0.3 --nt 4 --nx 32",
+    ])
+    def test_packet_wider_than_box_is_exit_two(self, tmp_path, command):
+        out = tmp_path / "out"
+        rc, err = run_process([*command.split(), "--outdir", str(out)])
+        assert rc == 2
+        assert "captured norm <= 1 + epsilon = 1.000001 violated" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, grid", [
+        ("carpet", ["--nt", "2", "--nx", "32"]), ("fidelity", ["--nt", "11"]),
+    ])
+    def test_bad_window_is_exit_two(self, tmp_path, capsys, bad_window, sub, grid):
+        out = tmp_path / "out"
+        t0, t1 = map(repr, map(float, bad_window))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run([sub, f"--t0={t0}", f"--t1={t1}", *grid, "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "time window" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if not any(map(math.isnan, bad_window)):
+            assert "nan" not in err
+        assert not out.exists()
 
     def test_outdir_that_is_a_file_is_exit_two(self, tmp_path):
         taken = tmp_path / "taken"
@@ -277,6 +311,17 @@ class TestArtifacts:
         rows = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert rows[3].startswith("1,")
         assert len(rows) == 3 + 64
+
+    def test_negative_momentum_keeps_n_bar(self, tmp_path):
+        # |a_n| is unchanged under p_bar -> -p_bar, so every time scale is too.
+        for pbar in ("50", "-50"):
+            assert run_quiet(["spectrum", f"--pbar={pbar}", "--outdir", str(tmp_path / pbar)]) == 0
+            assert manifest_entries(tmp_path / pbar / "manifest.txt", "derived")["n_bar"] == "16"
+        csv = [(tmp_path / pbar / "timescales.csv").read_bytes() for pbar in ("50", "-50")]
+        assert csv[0] == csv[1]
+        out = tmp_path / "revivals"
+        assert run_quiet(["revivals", "--q2", "5e-4", "--pbar=-50", "--outdir", str(out)]) == 0
+        assert json.loads((out / "revivals.json").read_text())["n_bar"] == 16
 
     def test_revivals_json(self, tmp_path):
         rc = run_quiet(

@@ -66,15 +66,13 @@ class TestFidelityScan:
         assert t_peak == pytest.approx(1.0, abs=1e-6)
         assert v_peak == pytest.approx(scan.captured_norm, abs=1e-4)
 
-    def test_samples_accessor(self, ref_packet, cfg0, exp0):
-        scan = fidelity_scan(ref_packet, cfg0, (0.0, 0.1), 11, expansion=exp0)
-        samples = scan.samples()
-        assert len(samples) == 11
-        assert samples[0][1] == pytest.approx(scan.captured_norm)
-
     def test_rejects_degenerate_scan(self, ref_packet, cfg0):
         with pytest.raises(ValueError):
             fidelity_scan(ref_packet, cfg0, (0.0, 1.0), 2)
+
+    def test_window_rejected_by_name(self, ref_packet, cfg0, exp0, bad_window):
+        with pytest.raises(ValueError, match="time window"):
+            fidelity_scan(ref_packet, cfg0, bad_window, 11, expansion=exp0)
 
     def test_super_revival_peak(self, ref_packet, cfg_moderate, exp_moderate):
         scan = fidelity_scan(

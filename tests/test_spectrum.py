@@ -217,6 +217,11 @@ class TestConfig:
         assert mean_quantum_number(0.0) == 0
         assert mean_quantum_number(math.pi * 7) == 7
 
+    def test_mean_quantum_number_ignores_the_momentum_sign(self):
+        # |a_n| is unchanged under p_bar -> -p_bar, so n_bar is too.
+        assert mean_quantum_number(-50.0) == 16
+        assert mean_quantum_number(-math.pi * 7) == 7
+
     @pytest.mark.parametrize(
         "kwargs",
         [

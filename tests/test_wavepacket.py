@@ -23,6 +23,7 @@ from boxrevive import (
     momentum_amplitude,
     position_density,
 )
+from boxrevive import wavepacket
 from boxrevive.wavepacket import (
     MAX_ABS_TIME,
     MAX_LEVEL,
@@ -148,6 +149,28 @@ class TestExpansion:
     @given(dx=st.floats(1e-3, 1e3), k=st.floats(-1e5, 1e5))
     def test_gaussian_cutoff_keeps_the_formula_bits(self, dx, k):
         assert _gaussian(dx, k) == math.exp(-(dx**2) * k**2 / 2.0)
+
+    @pytest.mark.parametrize("packet", [
+        (0.5, 10.0, -math.pi),  # one lobe's Gaussian factor is exactly 1: |a_1|^2 = 10 sqrt(pi)
+        (0.5, 0.3, 50.0),
+        (0.3, 1.0, 50.0),
+    ])
+    def test_captured_norm_past_one_is_rejected(self, packet):
+        with pytest.warns(WallClearanceWarning):
+            wide = PacketSpec(*packet)
+        with pytest.raises(ValueError, match=r"captured norm <= 1 \+ epsilon = 1.000001"):
+            expand(wide, SystemConfig(0.0))
+
+    def test_nan_norm_is_a_breach(self, ref_packet, monkeypatch):
+        monkeypatch.setattr(wavepacket, "_raw_coefficient", lambda n, packet: complex(math.nan))
+        with pytest.raises(ValueError, match=r"captured norm <= 1 \+ epsilon"):
+            expand(ref_packet, SystemConfig(0.0))
+
+    def test_overflowing_prefactor_is_rejected(self):
+        with pytest.warns(WallClearanceWarning):
+            huge = PacketSpec(0.5, 1e308, 50.0)
+        with pytest.raises(ValueError, match="4 pi delta_x must be finite"):
+            expand(huge, SystemConfig(0.0))
 
     @given(packet=safe_packets)
     @settings(max_examples=25, deadline=None)

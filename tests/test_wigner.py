@@ -26,7 +26,7 @@ from boxrevive import (
 )
 from boxrevive.fields import trapezoid_2d
 from boxrevive.wavepacket import EvolvedState
-from boxrevive.wigner import WignerField, default_p_max, marginal_errors
+from boxrevive.wigner import WignerField, default_p_max, fringe_column, marginal_errors
 from moments import trapezoid_mean_std
 
 
@@ -349,6 +349,13 @@ class TestClosedForm:
             field = wigner(states["cat"], nx=nx, n_p=33)
             column = wigner_column(states["cat"], field.p_axis[16], nx=nx)
             assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
+
+    def test_fringe_column_is_the_default_grid_column_nearest_zero(self, states):
+        field = wigner(states["cat"])
+        j = int(np.argmin(np.abs(field.p_axis)))
+        column = fringe_column(states["cat"])
+        assert column.p_axis.tolist() == [field.p_axis[j]]
+        assert np.max(np.abs(column.values[:, 0] - field.values[:, j])) <= 1e-12
 
     def test_column_preconditions(self, states):
         with pytest.raises(ValueError, match="nx >= 2"):
