@@ -169,6 +169,16 @@ class RunConfig:
             return self.n_bar_override
         return mean_quantum_number(self.packet.p_bar)
 
+    def clock_n_bar(self) -> int:
+        """n_bar for the time scales, which need a classical period; a resting packet has none."""
+        n_bar = self.n_bar()
+        if n_bar < 1:
+            raise ValueError(
+                f"|pbar| > pi/2 is needed for a classical period (got pbar = {self.packet.p_bar}, "
+                "so n_bar = 0); name the level with --nbar-override"
+            )
+        return n_bar
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -309,7 +319,7 @@ def _expansion_derived(expansion) -> dict:
 
 
 def _run_spectrum(cfg: RunConfig) -> tuple[dict, Artifacts]:
-    ts = time_scales(cfg.n_bar(), cfg.system)
+    ts = time_scales(cfg.clock_n_bar(), cfg.system)
     rows = [(n, energy_level(n, cfg.system)) for n in range(1, cfg.grid["nmax"] + 1)]
     return {"spectrum_turnover": spectrum_turnover(cfg.system), "t_sr4": ts.t_sr4}, {
         "spectrum.csv": _table_csv(
@@ -396,7 +406,7 @@ def _run_subplanck(cfg: RunConfig) -> tuple[dict, Artifacts]:
 
 
 def _run_revivals(cfg: RunConfig) -> tuple[dict, Artifacts]:
-    n_bar = cfg.n_bar()
+    n_bar = cfg.clock_n_bar()
     predictions = enumerate_fractional(n_bar, cfg.system, cfg.grid["smax"])
     ts = time_scales(n_bar, cfg.system)
     payload = {

@@ -245,6 +245,14 @@ def _split(a):
     return hi, a - hi
 
 
+def _two_product(a, b):
+    """Dekker's TwoProduct: (p, e) with p = fl(a b) and a b = p + e exactly."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def _centered(x):
     """x minus its nearest integer, in [-1/2, 1/2]; exact for every finite double."""
     return x - np.rint(x)
@@ -279,10 +287,7 @@ def _time_factors(t, q2: float) -> list:
     tau_hi, tau_lo = _split(_centered(t))
     if not q2:
         return [tau_hi, tau_lo]
-    s = t * q2
-    t_hi, t_lo = _split(t)
-    q_hi, q_lo = _split(q2)
-    sigma = ((t_hi * q_hi - s) + t_hi * q_lo + t_lo * q_hi) + t_lo * q_lo
+    s, sigma = _two_product(t, q2)
     s_hi, s_lo = _split(-_centered(s))
     sigma_hi, sigma_lo = _split(-_centered(sigma))
     return [tau_hi, tau_lo, s_hi, s_hi, s_lo, s_lo, sigma_hi, sigma_hi, sigma_lo, sigma_lo]

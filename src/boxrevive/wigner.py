@@ -25,10 +25,20 @@ at x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}. So every x-only table
 built on the ceil(nx/2) near rows alone, with L = x there; the far rows take
 their key weights through the (-1)^m parity and sit at 1 - L, their grid x
 to within an ulp. Each half is written into the field in place.
+
+The near L are uniform from 0, so both trig tables, cos and sin(pi m L) and
+cos and sin(2pL), come from angle addition: with B = isqrt(len(L)), row
+aB + b is e^{i theta L[aB]} e^{i theta L[b]}, about 2 sqrt(len(L)) rows of
+cos and sin and four products per cell. Those rows are shared by up to B
+cells each, so each of their angles theta L carries its own rounding error
+back in (Dekker's TwoProduct). The pair -> key layout (keys, bincount slots and the
++-w, sign(e) factors) depends only on the level range and is cached per
+(n_min, n_max); each call does only the two bincounts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -36,8 +46,10 @@ import numpy as np
 
 from .fields import Field2D, trapezoid_2d, trapezoid_weights
 from .wavepacket import (
+    EigenExpansion,
     EvolvedState,
     _check_reach,
+    _two_product,
     default_p_max,
     fourier_amplitude,
     position_density,
@@ -127,15 +139,14 @@ def fringe_column(state: EvolvedState) -> WignerField:
 
 
 def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
-    keys, w_cos, w_sin = _key_weights(state.expansion.coefficients, state.expansion.n_values)
+    keys, w_cos, w_sin = _key_weights(state.expansion)
     m = np.arange(len(w_cos))
     x_axis = np.linspace(0.0, 1.0, nx)
     # Row i and its mirror nx - 1 - i share the reach L = x_i of the u
     # integral, so every x-only table is built on the near half alone.
     near, far = (nx + 1) // 2, nx // 2
     half = x_axis[:near]
-    angle = np.outer(half, math.pi * m)
-    cos_l, sin_l = np.cos(angle), np.sin(angle)
+    cos_l, sin_l = _angle_table(half, math.pi * m)
     # At the mirror x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}.
     parity = (1.0 - 2.0 * (m % 2))[:, None]
     weights = (
@@ -147,8 +158,7 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     denom = kappa[:, None] + 2.0 * p_axis
     pole = np.abs(denom) < POLE_GAP
     inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
-    arg = np.outer(half, 2.0 * p_axis)
-    cos_arg, sin_arg = np.cos(arg), np.sin(arg)
+    cos_arg, sin_arg = _angle_table(half, 2.0 * p_axis)
     sin_k = sin_l[:, np.abs(keys)] * np.sign(keys)
     cos_k = cos_l[:, np.abs(keys)]
     # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
@@ -174,29 +184,69 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     )
 
 
-def _key_weights(coefficients, n_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _angle_table(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of outer(axis, freq) for a non-empty axis[i] = i h in [0, 1], by angle addition.
+
+    With B = isqrt(len(axis)), row aB + b is e^{i freq axis[aB]} e^{i freq axis[b]}:
+    about 2 sqrt(len(axis)) rows of cos and sin and four products per cell.
+    Each row is shared by up to B cells, so its rounding would not average out
+    along x: every row angle gets its TwoProduct rounding error back as a
+    rotation (freq = m 2^k with |m| < 1 keeps the split from overflowing, and
+    the scaling by 2^k is exact). Row 0 is exactly (1, 0). Both tables are
+    C-contiguous, as BLAS wants them.
+    """
+    step = math.isqrt(len(axis))
+    mantissa, exponent = np.frexp(freq)
+    angle, error = _two_product(np.concatenate([axis[:step], axis[::step]])[:, None], mantissa)
+    # |error| <= half an ulp of the angle, so cos(error) = 1 and sin(error) = error
+    # to rounding; sin keeps the rotation bounded where a huge angle has a huge error.
+    angle, error = np.ldexp(angle, exponent), np.sin(np.ldexp(error, exponent))
+    cos, sin = np.cos(angle), np.sin(angle)
+    cos, sin = cos - error * sin, sin + error * cos
+    fine_cos, fine_sin = cos[:step], sin[:step]
+    coarse_cos, coarse_sin = cos[step:, None], sin[step:, None]
+    # One block holds both tables, as (coarse row, fine row, freq) before the reshape.
+    tables = np.empty((2, len(coarse_cos), step, len(freq)))
+    np.multiply(coarse_cos, fine_cos, out=tables[0])
+    tables[0] -= coarse_sin * fine_sin
+    np.multiply(coarse_sin, fine_cos, out=tables[1])
+    tables[1] += coarse_cos * fine_sin
+    table_cos, table_sin = tables.reshape(2, -1, len(freq))[:, : len(axis)]
+    return table_cos, table_sin
+
+
+def _key_weights(expansion: EigenExpansion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct keys kappa / pi and the weight matrices of c_key(x).
 
     Every pair c = conj(a_n) a_m adds w Re(c e^{i pi e x}) to key k for
     (k, e, w) in (s, d, 1), (-s, -d, 1) and (d, s, -2). So
     c_key(x) = sum_e cos(pi e x) w_cos[e, key] + sin(pi e x) w_sin[e, key]
-    over 0 <= e <= 2 n_max, two fixed real matrices.
+    over 0 <= e <= 2 n_max, two fixed real matrices. Only the two bincounts
+    depend on the coefficients; the layout is cached per level range.
     """
-    a = np.asarray(coefficients)
-    n = np.asarray(n_values)
-    c = (np.conj(a)[:, None] * a[None, :]).ravel()
+    keys, slot, cos_factor, sin_factor, shape = _key_layout(expansion.n_min, expansion.n_max)
+    a = expansion.coefficients
+    c = np.tile((np.conj(a)[:, None] * a[None, :]).ravel(), 3)
+    size = shape[0] * shape[1]
+    w_cos = np.bincount(slot, cos_factor * c.real, size).reshape(shape)
+    w_sin = np.bincount(slot, sin_factor * c.imag, size).reshape(shape)
+    return keys, w_cos, w_sin
+
+
+@functools.lru_cache(maxsize=8)
+def _key_layout(n_min: int, n_max: int) -> tuple:
+    """Keys, the bincount slot of each (pair, key kind) and its cos and sin factors, read-only."""
+    n = np.arange(n_min, n_max + 1)
     s = np.add.outer(n, n).ravel()
     d = np.subtract.outer(n, n).ravel()
     keys, col = np.unique(np.concatenate([s, -s, d]), return_inverse=True)
     e = np.concatenate([d, -d, s])
-    w = np.repeat([1.0, 1.0, -2.0], len(c))
-    cc = np.tile(c, 3)
+    w = np.repeat([1.0, 1.0, -2.0], len(s))
     slot = np.abs(e) * len(keys) + col
-    shape = (2 * int(n[-1]) + 1, len(keys))
-    size = shape[0] * shape[1]
-    w_cos = np.bincount(slot, w * cc.real, size).reshape(shape)
-    w_sin = np.bincount(slot, -w * np.sign(e) * cc.imag, size).reshape(shape)
-    return keys, w_cos, w_sin
+    layout = (keys, slot, w, -w * np.sign(e))
+    for arr in layout:
+        arr.setflags(write=False)
+    return (*layout, (2 * n_max + 1, len(keys)))
 
 
 def wigner_overlap(a: WignerField, b: WignerField) -> float:

@@ -256,6 +256,18 @@ class TestExitCodes:
         assert "at least one q2 > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum --pbar 0", "revivals --q2 1e-5 --pbar 0"])
+    def test_resting_packet_needs_a_level_for_the_time_scales(self, tmp_path, command):
+        # n_bar = round(|pbar| / pi) = 0 has no classical period; no n_bar is invented.
+        out = tmp_path / "out"
+        rc, err = run_process([*command.split(), "--outdir", str(out)])
+        assert rc == 2
+        assert "|pbar| > pi/2 is needed for a classical period" in err
+        assert "--nbar-override" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert run_quiet([*command.split(), "--nbar-override", "16", "--outdir", str(out)]) == 0
+
     @pytest.mark.parametrize("argv, code", [
         (["carpet", "--t0", "0.4", "--t1", "0.2"], 2),  # library precondition
         (["wigner", "--q2", "1e-5", "--t", "1.0"], 1),  # mid-bounce marginal breach

@@ -6,7 +6,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxrevive import (
@@ -26,7 +26,15 @@ from boxrevive import (
 )
 from boxrevive.fields import trapezoid_2d
 from boxrevive.wavepacket import EvolvedState
-from boxrevive.wigner import WignerField, default_p_max, fringe_column, marginal_errors
+from boxrevive.wigner import (
+    WignerField,
+    _angle_table,
+    _key_layout,
+    _key_weights,
+    default_p_max,
+    fringe_column,
+    marginal_errors,
+)
 from moments import trapezoid_mean_std
 
 
@@ -364,3 +372,91 @@ class TestClosedForm:
             wigner_column(states["cat"], math.nan)
         with pytest.raises(ValueError, match="2p must be finite"):
             wigner_column(states["cat"], 1e308)
+
+
+def uncached_key_weights(expansion):
+    """The key weights of `_key_weights`, with the pair -> key layout rebuilt here."""
+    a = expansion.coefficients
+    n = expansion.n_values
+    c = np.tile((np.conj(a)[:, None] * a[None, :]).ravel(), 3)
+    s = np.add.outer(n, n).ravel()
+    d = np.subtract.outer(n, n).ravel()
+    keys, col = np.unique(np.concatenate([s, -s, d]), return_inverse=True)
+    e = np.concatenate([d, -d, s])
+    w = np.repeat([1.0, 1.0, -2.0], len(s))
+    slot = np.abs(e) * len(keys) + col
+    shape = (2 * int(n[-1]) + 1, len(keys))
+    size = shape[0] * shape[1]
+    w_cos = np.bincount(slot, w * c.real, size).reshape(shape)
+    w_sin = np.bincount(slot, -w * np.sign(e) * c.imag, size).reshape(shape)
+    return keys, w_cos, w_sin
+
+
+class TestKernelTables:
+    """The trig tables by angle addition and the cached pair -> key layout."""
+
+    # Measured worst |table - np.cos/np.sin(np.outer)| is 1.5 eps max(1, max|angle|)
+    # over 20,000 random near-half axes and frequencies; most of it is the
+    # rounding of np.outer's own angles.
+    ANGLE_ULPS = 4.0
+    # Against the exact angle of a dyadic axis, measured worst 1.0 eps over 300 cases.
+    EXACT_ULPS = 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # The near half of linspace(0, 1, nx), as the kernel builds it: lengths
+        # 1 to 600, on and off multiples of isqrt(length).
+        nx=st.integers(1, 1200),
+        freq=st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=8),
+    )
+    @example(nx=2, freq=[2e3])
+    @example(nx=1199, freq=[-2e3, 2e3])  # length 600 = 24 * 25: a partial last block
+    @example(nx=1152, freq=[1.0, -7.5])  # length 576 = 24^2
+    @example(nx=9, freq=[5e-324, -0.0, 1e-300])  # subnormal and zero frequencies
+    def test_angle_addition_matches_direct_trig(self, nx, freq):
+        axis = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
+        freq = np.array(freq)
+        cos, sin = _angle_table(axis, freq)
+        angle = np.outer(axis, freq)
+        bound = self.ANGLE_ULPS * np.finfo(float).eps * max(1.0, np.max(np.abs(angle)))
+        assert cos.shape == sin.shape == angle.shape
+        assert cos.flags.c_contiguous and sin.flags.c_contiguous
+        assert np.max(np.abs(cos - np.cos(angle))) <= bound
+        assert np.max(np.abs(sin - np.sin(angle))) <= bound
+        assert cos[0].tolist() == [1.0] * len(freq)
+        assert sin[0].tolist() == [0.0] * len(freq)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        freq=st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=4),
+    )
+    @example(n=600, freq=[2e3, -1999.999])
+    def test_rows_carry_the_exact_angle(self, n, freq):
+        # On i 2^-10 every sum of two grid points is exact, so each cell is
+        # e^{i freq axis} of the exact product, to rounding of the result
+        # alone: the rounding of the shared coarse and fine angles is put back.
+        axis = np.arange(n) * 2.0**-10
+        cos, sin = _angle_table(axis, np.array(freq))
+        mpmath.mp.dps = 30
+        for i in np.unique(np.linspace(0, n - 1, 12).astype(int)):
+            for j, f in enumerate(freq):
+                angle = mpmath.mpf(float(axis[i])) * mpmath.mpf(f)
+                assert abs(cos[i, j] - float(mpmath.cos(angle))) <= self.EXACT_ULPS * np.finfo(float).eps
+                assert abs(sin[i, j] - float(mpmath.sin(angle))) <= self.EXACT_ULPS * np.finfo(float).eps
+
+    def test_key_layout_is_cached_per_level_range(self):
+        cfg = SystemConfig(0.0, truncation_epsilon=1e-6)
+        expansions = [expand(PacketSpec(0.5, 0.1, p_bar), cfg) for p_bar in (50.0, 52.0)]
+        assert [(e.n_min, e.n_max) for e in expansions] == [(3, 31), (4, 32)]
+        _key_layout.cache_clear()
+        for expansion in expansions * 2:  # interleaved: miss, miss, hit, hit
+            state = evolve(expansion, 0.3, cfg)
+            cached = _key_weights(state.expansion)
+            for got, want in zip(cached, uncached_key_weights(state.expansion)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        info = _key_layout.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+        for arr in _key_layout(3, 31)[:4]:
+            assert not arr.flags.writeable
