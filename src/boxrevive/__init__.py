@@ -52,7 +52,6 @@ from .wigner import (
     negativity_volume,
     parity_mirror,
     wigner,
-    wigner_column,
     wigner_overlap,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "subplanck_dimension",
     "time_scales",
     "wigner",
-    "wigner_column",
     "wigner_overlap",
     "write_field_csv",
     "write_field_pgm",

@@ -394,7 +394,10 @@ def _run_subplanck(cfg: RunConfig) -> tuple[dict, Artifacts]:
          r.fringe_spacing)
         for r, delta in pairs
     ]
-    return {"rows": len(rows)}, {
+    # Every report's expansion: the coefficients do not depend on q2, and at q2 = 0
+    # it repeats no turnover warning.
+    expansion = expand(cfg.packet, dataclasses.replace(cfg.system, q_squared=0.0))
+    return {**_expansion_derived(expansion), "rows": len(rows)}, {
         "subplanck.csv": _table_csv(
             ["sub-Planck diagnostics (hbar units; times in T_rev)",
              "delta_ratio = dim_a / dim_a(q2=0, t=0.25); empty when not applicable"],

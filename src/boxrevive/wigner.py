@@ -112,30 +112,26 @@ def wigner(
         raise ValueError(f"grid must have nx, n_p >= 2 (got {nx}, {n_p})")
     if p_max is None:
         p_max = default_p_max(state.packet)
-    if not math.isfinite(2.0 * p_max):
-        raise ValueError(f"2 p_max must be finite (got p_max = {p_max})")
+    p_axis = _p_axis(p_max, n_p)
     _check_reach(state.packet, p_max)
-    return _field(state, nx, np.linspace(-p_max, p_max, n_p))
-
-
-def wigner_column(state: EvolvedState, p: float, nx: int = DEFAULT_GRID) -> WignerField:
-    """W(x, p) at the single momentum p on nx points of [0, 1].
-
-    2p must be finite. No coverage check: it protects the marginals of a
-    whole field, and one column has none.
-    """
-    if nx < 2:
-        raise ValueError(f"grid must have nx >= 2 (got {nx})")
-    if not math.isfinite(2.0 * p):
-        raise ValueError(f"2p must be finite (got p = {p})")
-    return _field(state, nx, np.array([float(p)]))
+    return _field(state, nx, p_axis)
 
 
 def fringe_column(state: EvolvedState) -> WignerField:
-    """The column of the default `wigner` grid nearest p = 0, where fringes are read."""
-    p_max = default_p_max(state.packet)
-    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
-    return wigner_column(state, float(p_axis[np.argmin(np.abs(p_axis))]))
+    """The column of the default `wigner` grid nearest p = 0, where fringes are read.
+
+    No coverage check: it protects the marginals of a whole field, and one
+    column has none.
+    """
+    p_axis = _p_axis(default_p_max(state.packet), DEFAULT_GRID)
+    return _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
+
+
+def _p_axis(p_max: float, n_p: int) -> np.ndarray:
+    """linspace(-p_max, p_max, n_p); 2 p_max must be finite, since the kernel works with 2p."""
+    if not math.isfinite(2.0 * p_max):
+        raise ValueError(f"2 p_max must be finite (got p_max = {p_max})")
+    return np.linspace(-p_max, p_max, n_p)
 
 
 def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:

@@ -19,16 +19,13 @@ An acceptance clause may change only to the exact statement of the same
 physics, at the same data and tolerance, with its oracle inside the test.
 """
 
-import dataclasses
 import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from boxrevive import (
-    PacketSpec,
     SystemConfig,
     autocorrelation,
     carpet,
@@ -36,7 +33,6 @@ from boxrevive import (
     default_momentum_grid,
     energy_level,
     evolve,
-    expand,
     fidelity_scan,
     momentum_amplitude,
     negativity_volume,

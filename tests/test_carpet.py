@@ -5,8 +5,6 @@ import pytest
 
 from boxrevive import (
     Field2D,
-    PacketSpec,
-    SystemConfig,
     carpet,
     centroid_trace,
     evolve,

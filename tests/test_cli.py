@@ -9,12 +9,11 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import boxrevive
 from boxrevive import (
-    Field2D, PacketSpec, SystemConfig, carpet, cli, sensitivity_reports, subplanck_dimension,
+    Field2D, SystemConfig, carpet, cli, sensitivity_reports, subplanck_dimension,
 )
 from boxrevive.cli import run
 
@@ -408,6 +407,20 @@ class TestManifest:
         assert entries["t1"] == "0.5"
         assert entries["truncation_epsilon"] == "1e-06"
         assert entries["captured_norm"].startswith("0.99999")
+
+    @pytest.mark.parametrize("argv", [
+        ["carpet", "--nt", "4", "--nx", "32"],
+        ["wigner", "--nx", "32", "--np", "64"],
+        ["subplanck", "--t", "0.25", "--fringe"],
+        ["subplanck", "--q2-list", "0,1e-5"],
+        ["fidelity", "--nt", "11"],
+    ], ids=["carpet", "wigner", "subplanck_point", "subplanck_curve", "fidelity"])
+    def test_every_expansion_records_its_ledger(self, tmp_path, argv):
+        # The default packet expands over levels 3..31.
+        assert run_quiet([*argv, "--outdir", str(tmp_path)]) == 0
+        derived = manifest_entries(tmp_path / "manifest.txt", "derived")
+        assert (derived["captured_norm"], derived["n_min"], derived["n_max"]) == (
+            "0.999999999057", "3", "31")
 
 
 class TestConfigFile:

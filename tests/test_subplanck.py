@@ -24,11 +24,11 @@ from boxrevive import (
     sensitivity_reports,
     subplanck_dimension,
     wigner,
-    wigner_column,
 )
 from boxrevive import subplanck
 from boxrevive.subplanck import SHORT_TIME, _moment_forms, evaluation_time
 from boxrevive.wavepacket import DEFAULT_X_POINTS
+from boxrevive.wigner import fringe_column
 from moments import trapezoid_mean_std
 
 Q2_GRID = [0.0, 2e-6, 4e-6, 8e-6, 1e-5]  # 1/(4 q2) integer for each q2 > 0
@@ -171,7 +171,8 @@ class TestFringeColumn:
             report = subplanck_dimension(ref_packet, cfg, t, with_fringe=True)
         field = wigner(state)
         col = int(np.argmin(np.abs(field.p_axis)))
-        column = wigner_column(state, field.p_axis[col])
+        column = fringe_column(state)
+        assert column.p_axis.tolist() == [field.p_axis[col]]
         assert np.max(np.abs(column.values[:, 0] - field.values[:, col])) <= 1e-12
         expected = fringe_spacing(field, ref_packet.x_bar)
         assert expected is not None

@@ -1,6 +1,7 @@
 """Wigner transform contracts: marginals, normalization, cat-state structure."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -21,14 +22,14 @@ from boxrevive import (
     parity_mirror,
     position_density,
     wigner,
-    wigner_column,
     wigner_overlap,
 )
 from boxrevive.fields import trapezoid_2d
-from boxrevive.wavepacket import EvolvedState
+from boxrevive.wavepacket import EigenExpansion, EvolvedState
 from boxrevive.wigner import (
     WignerField,
     _angle_table,
+    _field,
     _key_layout,
     _key_weights,
     default_p_max,
@@ -335,7 +336,7 @@ class TestClosedForm:
     def test_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset):
         # Every key kappa is an integer multiple of pi; p = -kappa/2 is its pole.
         p = -0.5 * math.pi * key + offset
-        column = wigner_column(states[case], p, nx=33)
+        column = _field(states[case], 33, np.array([p]))
         reference = per_pair_field(states[case], column.x_axis, [p])
         assert np.max(np.abs(column.values - reference)) <= 1e-12
 
@@ -346,7 +347,7 @@ class TestClosedForm:
         ("initial", 0.45, -8.0 * math.pi + 3e-4),
     ])
     def test_cell_matches_mpmath_quadrature(self, states, case, x, p):
-        column = wigner_column(states[case], p, nx=21)
+        column = _field(states[case], 21, np.array([p]))
         row = int(np.argmin(np.abs(column.x_axis - x)))
         assert column.x_axis[row] == pytest.approx(x, abs=1e-15)
         expected = quadrature_cell(states[case], column.x_axis[row], p)
@@ -355,7 +356,7 @@ class TestClosedForm:
     def test_column_equals_grid_column(self, states):
         for nx in (16, 17, 256):  # even sizes have no middle row
             field = wigner(states["cat"], nx=nx, n_p=33)
-            column = wigner_column(states["cat"], field.p_axis[16], nx=nx)
+            column = _field(states["cat"], nx, field.p_axis[[16]])
             assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
 
     def test_fringe_column_is_the_default_grid_column_nearest_zero(self, states):
@@ -365,13 +366,16 @@ class TestClosedForm:
         assert column.p_axis.tolist() == [field.p_axis[j]]
         assert np.max(np.abs(column.values[:, 0] - field.values[:, j])) <= 1e-12
 
-    def test_column_preconditions(self, states):
-        with pytest.raises(ValueError, match="nx >= 2"):
-            wigner_column(states["cat"], 0.0, nx=1)
-        with pytest.raises(ValueError, match="p must be finite"):
-            wigner_column(states["cat"], math.nan)
-        with pytest.raises(ValueError, match="2p must be finite"):
-            wigner_column(states["cat"], 1e308)
+    @pytest.mark.parametrize("packet", [
+        PacketSpec(0.5, 1e-310, 0.0),       # P_COVER_FACTOR / delta_x overflows
+        PacketSpec(0.5, 1e-300, 1.7e308),   # p_max is finite, 2 p_max is not
+    ], ids=["inf_p_max", "inf_2p_max"])
+    def test_fringe_column_checks_2p_max_before_building_its_axis(self, packet):
+        state = EvolvedState(EigenExpansion(1, np.array([1 + 0j]), 1.0, packet), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="2 p_max must be finite"):
+                fringe_column(state)
 
 
 def uncached_key_weights(expansion):
