@@ -7,7 +7,7 @@ T_rev = 4/pi, positions in units of L, momenta in units of hbar/L.
 __version__ = "0.1.0"
 
 from .carpet import carpet, centroid_trace
-from .fields import Field2D, read_field_csv, write_field_csv, write_field_pgm
+from .fields import Field2D, write_field_csv, write_field_pgm
 from .revivals import (
     FidelityScan,
     RevivalPrediction,
@@ -26,7 +26,6 @@ from .spectrum import (
 )
 from .subplanck import (
     SubPlanckReport,
-    sensitivity_curve,
     sensitivity_reports,
     subplanck_dimension,
 )
@@ -88,8 +87,6 @@ __all__ = [
     "negativity_volume",
     "parity_mirror",
     "position_density",
-    "read_field_csv",
-    "sensitivity_curve",
     "sensitivity_reports",
     "spectrum_turnover",
     "subplanck_dimension",

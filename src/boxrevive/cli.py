@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Subcommands: spectrum, carpet, wigner, subplanck, revivals, fidelity. Every
-parameter is declared once, as a row of COMMON or of its subcommand's table in
-SUBCOMMANDS; the row gives its flag, config-file key, type, default, check and
-help. Every run computes first, then makes the output directory and writes its
-artifacts there. --formats selects which CSV and PGM artifacts of any
+Subcommands: spectrum, carpet, wigner, subplanck, revivals, fidelity. Each is
+declared once, as a SUBCOMMANDS entry (help, parameter table, runner). Every
+parameter is declared once, as a row of COMMON or of its subcommand's table;
+the row gives its flag, config-file key, type, default, check and help. Every
+run computes first, then makes the output directory and writes its artifacts
+there. --formats selects which CSV and PGM artifacts of any
 subcommand are written; revivals.json and manifest.txt, which records every
 resolved parameter including defaults, are always written. A run that fails
 makes no directory.
@@ -22,7 +23,13 @@ Flags may also be supplied through a key = value config file (any section
 names). The key of flag --some-name is some_name (some-name is accepted too);
 a key that any subcommand declares is accepted, subcommands ignore keys they
 do not declare, and any other key is rejected. Explicit flags override file
-values.
+values. [DEFAULT] is read like any other section, values are literal text (no
+% interpolation), and a file that configparser cannot read (no section header,
+a repeated section or key, a line with no separator) exits 2 naming the file.
+
+Warnings print to stderr as they fire, one line each with no source path:
+"boxrevive: warning: <Category>: <message>". The warning filters are left as
+they are, so a filter that turns a warning into an error still raises.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import configparser
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -111,47 +119,6 @@ COMMON = (
     ),
 )
 
-# subcommand -> (help, parameter table); each table becomes the [grid] section.
-SUBCOMMANDS = {
-    "spectrum": ("energy table and derived time scales", (
-        Param("nmax", int, 64, AT_LEAST_1, "largest level in the energy table"),
-    )),
-    "carpet": ("space-time probability density", (
-        Param("t0", float, 0.0, None, "window start [T_rev]"),
-        Param("t1", float, 0.5, None, "window end [T_rev]"),
-        Param("nt", int, 512, None, "time samples"),
-        Param("nx", int, 512, None, "position samples"),
-    )),
-    "wigner": ("phase-space Wigner distribution", (
-        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev]"),
-        Param("nx", int, DEFAULT_GRID, None, "position samples"),
-        Param("np", int, DEFAULT_GRID, None, "momentum samples"),
-        Param("pmax", float, default_p_max, None, "momentum half-range (default |pbar| + 6/dx)"),
-    )),
-    "subplanck": ("sub-Planck action / dimension report", (
-        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev] (single-point run)"),
-        Param(
-            "q2_list", _floats, None,
-            (lambda v: bool(v) and all(q >= 0.0 for q in v), "a non-empty list of values >= 0"),
-            "comma list of q^2 values",
-        ),
-        Param(
-            "mode", str, MODES[0], (lambda v: v in MODES, "one of " + ", ".join(MODES)),
-            "sensitivity evaluation time rule: " + " or ".join(MODES),
-        ),
-        Param("fringe", _switch, 0, None, "measure fringe spacing"),
-    )),
-    "revivals": ("commensurate fractional revival predictions", (
-        Param("smax", int, 4, None, "largest denominator of the quartic clock"),
-    )),
-    "fidelity": ("|autocorrelation| scan with peak detection", (
-        Param("t0", float, 0.9, None, "scan start [T_rev]"),
-        Param("t1", float, 1.1, None, "scan end [T_rev]"),
-        Param("nt", int, 2001, None, "scan samples"),
-    )),
-}
-
-
 @dataclasses.dataclass
 class RunConfig:
     """Fully resolved parameters of one CLI run."""
@@ -188,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"boxrevive {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, table) in SUBCOMMANDS.items():
+    for name, (help_text, table, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file; flags override")
         for row in COMMON + table:
@@ -201,10 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    tables = (COMMON, *(table for _, table in SUBCOMMANDS.values()))
+    tables = (COMMON, *(table for _, table, _ in SUBCOMMANDS.values()))
     known = {row.name for table in tables for row in table}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # No interpolation: values are literal text. No header matches "", so
+    # [DEFAULT] is read like any other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # its message spans lines; print it as one
+        raise ValueError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ValueError(f"config file not found: {path}")
     out = {}
@@ -447,14 +419,50 @@ def _run_fidelity(cfg: RunConfig) -> tuple[dict, Artifacts]:
     }
 
 
-RUNNERS = {
-    "spectrum": _run_spectrum,
-    "carpet": _run_carpet,
-    "wigner": _run_wigner,
-    "subplanck": _run_subplanck,
-    "revivals": _run_revivals,
-    "fidelity": _run_fidelity,
+# subcommand -> (help, parameter table, runner); each table becomes the [grid] section.
+SUBCOMMANDS = {
+    "spectrum": ("energy table and derived time scales", (
+        Param("nmax", int, 64, AT_LEAST_1, "largest level in the energy table"),
+    ), _run_spectrum),
+    "carpet": ("space-time probability density", (
+        Param("t0", float, 0.0, None, "window start [T_rev]"),
+        Param("t1", float, 0.5, None, "window end [T_rev]"),
+        Param("nt", int, 512, None, "time samples"),
+        Param("nx", int, 512, None, "position samples"),
+    ), _run_carpet),
+    "wigner": ("phase-space Wigner distribution", (
+        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev]"),
+        Param("nx", int, DEFAULT_GRID, None, "position samples"),
+        Param("np", int, DEFAULT_GRID, None, "momentum samples"),
+        Param("pmax", float, default_p_max, None, "momentum half-range (default |pbar| + 6/dx)"),
+    ), _run_wigner),
+    "subplanck": ("sub-Planck action / dimension report", (
+        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev] (single-point run)"),
+        Param(
+            "q2_list", _floats, None,
+            (lambda v: bool(v) and all(q >= 0.0 for q in v), "a non-empty list of values >= 0"),
+            "comma list of q^2 values",
+        ),
+        Param(
+            "mode", str, MODES[0], (lambda v: v in MODES, "one of " + ", ".join(MODES)),
+            "sensitivity evaluation time rule: " + " or ".join(MODES),
+        ),
+        Param("fringe", _switch, 0, None, "measure fringe spacing"),
+    ), _run_subplanck),
+    "revivals": ("commensurate fractional revival predictions", (
+        Param("smax", int, 4, None, "largest denominator of the quartic clock"),
+    ), _run_revivals),
+    "fidelity": ("|autocorrelation| scan with peak detection", (
+        Param("t0", float, 0.9, None, "scan start [T_rev]"),
+        Param("t1", float, 1.1, None, "scan end [T_rev]"),
+        Param("nt", int, 2001, None, "scan samples"),
+    ), _run_fidelity),
 }
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as it fires, on one line with no source path."""
+    print(f"boxrevive: warning: {category.__name__}: {message}", file=sys.stderr)
 
 
 def run(argv) -> int:
@@ -464,27 +472,29 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    try:
-        cfg = resolve_config(args)
-        derived, artifacts = RUNNERS[cfg.subcommand](cfg)
-        derived["n_bar"] = cfg.n_bar()
+    with warnings.catch_warnings():  # restores showwarning; the filters stay as they are
+        warnings.showwarning = _show_warning
         try:
-            cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(
-                f"output directory {cfg.output_dir} cannot be created ({exc.strerror})"
-            ) from None
-    except ValueError as exc:
-        print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TruncationError, ContractError) as exc:
-        print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+            cfg = resolve_config(args)
+            derived, artifacts = SUBCOMMANDS[cfg.subcommand][2](cfg)
+            derived["n_bar"] = cfg.n_bar()
+            try:
+                cfg.output_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(
+                    f"output directory {cfg.output_dir} cannot be created ({exc.strerror})"
+                ) from None
+        except ValueError as exc:
+            print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (TruncationError, ContractError) as exc:
+            print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
-    for name, write in artifacts.items():
-        if name.rpartition(".")[2] in (*cfg.formats, "json"):  # json is not a --formats choice
-            write(cfg.output_dir / name)
-    write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
+        for name, write in artifacts.items():
+            if name.rpartition(".")[2] in (*cfg.formats, "json"):  # json is not a --formats choice
+                write(cfg.output_dir / name)
+        write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
     return EXIT_OK
 
 

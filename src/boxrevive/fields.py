@@ -3,7 +3,8 @@
 CSV layout: two '#' header lines describing the axes and units, then a matrix
 whose first row holds the axis-2 coordinates and whose first column holds the
 axis-1 coordinates. All numbers are printed with 12 significant digits so
-output is byte-stable across runs.
+output is byte-stable across runs. The package writes this format and does not
+read it back.
 
 PGM (P5, 8 bit) layout: axis-1 indexes rows (row 0 = first axis-1 sample),
 axis-2 indexes columns. Unsigned fields are scaled by their global maximum and
@@ -69,20 +70,6 @@ def field_csv_text(f: Field2D) -> str:
 
 def write_field_csv(path, f: Field2D) -> None:
     Path(path).write_text(field_csv_text(f))
-
-
-def read_field_csv(path) -> Field2D:
-    """Parse a field written by write_field_csv (used for audits and tests)."""
-    lines = Path(path).read_text().splitlines()
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    axis2 = np.array([float(v) for v in data[0].split(",")[1:]])
-    axis1 = []
-    values = []
-    for ln in data[1:]:
-        cells = ln.split(",")
-        axis1.append(float(cells[0]))
-        values.append([float(v) for v in cells[1:]])
-    return Field2D(np.array(axis1), axis2, np.array(values))
 
 
 def _pgm_bytes(quantized: np.ndarray, comment: str) -> bytes:

@@ -9,7 +9,9 @@ on the packet and its level range, so they are built once and cached; a report
 then costs one evolve and a few (levels x levels) products, with no grid. The
 optional fringe-spacing estimate is read from `wigner.fringe_column`, the
 Wigner slice nearest p = 0 that `wigner` chooses, and is reported alongside
-the moment-based value, never mixed into it.
+the moment-based value, never mixed into it. The sensitivity curve is read
+from `sensitivity_reports`: each report's q_squared with its ratio
+delta = a_q / a(q2=0, t=0.25).
 """
 
 from __future__ import annotations
@@ -164,8 +166,3 @@ def sensitivity_reports(
         )
         out.append((report, report.dim_a / reference.dim_a))
     return out
-
-
-def sensitivity_curve(packet: PacketSpec, q2_list, mode: str) -> list[tuple[float, float]]:
-    """Pairs (q2, delta) with delta = a_q / a(q2=0, t=0.25), sorted by q2, on SystemConfig()."""
-    return [(r.q_squared, d) for r, d in sensitivity_reports(packet, q2_list, mode)]

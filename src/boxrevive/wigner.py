@@ -66,12 +66,11 @@ FRINGE_WINDOW = 0.25  # half-width in x around the centre where fringes are read
 
 @dataclass(frozen=True)
 class WignerField:
-    """Wigner values on x_axis (rows) by p_axis (columns) at one instant."""
+    """Wigner values on x_axis (rows) by p_axis (columns) of one evolved state."""
 
     x_axis: np.ndarray
     p_axis: np.ndarray
     values: np.ndarray
-    time: float
     captured_norm: float
 
     def __post_init__(self):
@@ -175,7 +174,6 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
         x_axis=x_axis,
         p_axis=p_axis,
         values=values,
-        time=state.time,
         captured_norm=state.expansion.captured_norm,
     )
 
@@ -269,25 +267,19 @@ def negativity_volume(f: WignerField) -> float:
     return trapezoid_2d(f.x_axis, f.p_axis, np.abs(f.values)) - f.captured_norm
 
 
-def position_marginal(f: WignerField) -> np.ndarray:
-    """sum_p W dp, which must reproduce |psi(x)|^2."""
-    return f.values @ trapezoid_weights(f.p_axis)
-
-
-def momentum_marginal(f: WignerField) -> np.ndarray:
-    """sum_x W dx, which must reproduce |phi(p)|^2."""
-    return trapezoid_weights(f.x_axis) @ f.values
-
-
 def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     """Sup-norm mismatch of both marginals against the direct densities.
 
-    Both references come from the state's coefficients, never from the field:
-    |psi|^2 and |phi|^2 from the closed-form momentum transform.
+    The marginals are trapezoid sums of the field: sum_p W dp must reproduce
+    |psi(x)|^2 and sum_x W dx must reproduce |phi(p)|^2. Both references come
+    from the state's coefficients, never from the field: |psi|^2 and |phi|^2
+    from the closed-form momentum transform.
     """
-    x_err = float(np.max(np.abs(position_marginal(f) - position_density(state, f.x_axis))))
+    x_marginal = f.values @ trapezoid_weights(f.p_axis)
+    x_err = float(np.max(np.abs(x_marginal - position_density(state, f.x_axis))))
     phi = fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, f.p_axis)
-    p_err = float(np.max(np.abs(momentum_marginal(f) - np.abs(phi) ** 2)))
+    p_marginal = trapezoid_weights(f.x_axis) @ f.values
+    p_err = float(np.max(np.abs(p_marginal - np.abs(phi) ** 2)))
     return x_err, p_err
 
 

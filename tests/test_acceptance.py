@@ -37,7 +37,7 @@ from boxrevive import (
     momentum_amplitude,
     negativity_volume,
     position_density,
-    sensitivity_curve,
+    sensitivity_reports,
     subplanck_dimension,
     time_scales,
     wigner,
@@ -185,7 +185,7 @@ def test_criterion_07_super_revival(
     grid_mirrors = np.allclose(f.x_axis[::-1], 1.0 - f.x_axis) and np.allclose(
         f.p_axis[::-1], -f.p_axis
     )
-    flipped = WignerField(f.x_axis, f.p_axis, f.values[::-1, ::-1], f.time, f.captured_norm)
+    flipped = WignerField(f.x_axis, f.p_axis, f.values[::-1, ::-1], f.captured_norm)
     mirrored = wigner_overlap(flipped, cat_wigner)
     three_quarter = wigner_overlap(wigner(evolve(exp_moderate, 1500.0, cfg_moderate)), cat_wigner)
     fidelity = abs(autocorrelation(exp_moderate, 2000.0, cfg_moderate))
@@ -215,12 +215,14 @@ def test_criterion_09_sensitivity_curves(ref_packet, cfg0):
     to within one unit in the last place of t: the mirrored cat) delta is
     1 +/- 0.05. At q2 = 6e-6, 1/(4 q2) = 125000/3, so tau = 5/12 and the cat
     is split further."""
-    solid = sensitivity_curve(ref_packet, Q2_CURVE, "short_time")
+    solid = [(r.q_squared, d)
+             for r, d in sensitivity_reports(ref_packet, Q2_CURVE, "short_time")]
     deltas = [d for _, d in solid]
     monotone = all(a >= b for a, b in zip(deltas, deltas[1:]))
     endpoint = abs(deltas[-1] - 0.61) <= 0.1
 
-    dashed = sensitivity_curve(ref_packet, [q for q in Q2_CURVE if q > 0], "super_revival")
+    dashed = [(r.q_squared, d) for r, d in
+              sensitivity_reports(ref_packet, [q for q in Q2_CURVE if q > 0], "super_revival")]
     reference = subplanck_dimension(ref_packet, cfg0, 0.25).dim_a
     worst = 0.0
     flat_q2, rows = [], []

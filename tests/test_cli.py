@@ -467,6 +467,43 @@ class TestConfigFile:
         assert re.search(rf"\b{key}\b", err), err
         assert "unknown config key" not in err
 
+    @pytest.mark.parametrize("text, needle", [
+        ("q2 = 1e-5\n", "file {path}: File contains no section headers. file: '{path}', line: 1"),
+        ("[a]\nq2 = 1e-5\n[a]\nnt = 11\n", "file {path}: While reading from '{path}' [line 3]: "
+         "section 'a' already exists"),
+        ("[a]\nq2 = 1e-5\nq2 = 2e-5\n", "file {path}: While reading from '{path}' [line 3]: "
+         "option 'q2' in section 'a' already exists"),
+        ("[a]\nq2\n", "file {path}: Source contains parsing errors: '{path}' [line 2]: 'q2\\n'"),
+        # No % interpolation: the value reaches the float parser as written.
+        ("[a]\nq2 = %\n", "error: q2: could not convert string to float: '%'"),
+    ], ids=["no_header", "repeated_section", "repeated_key", "no_separator", "percent"])
+    def test_malformed_file_is_exit_two(self, tmp_path, text, needle):
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfgfile.write_text(text)
+        rc, err = run_process(
+            ["fidelity", "--nt", "11", "--config", str(cfgfile), "--outdir", str(out)]
+        )
+        assert rc == 2
+        assert err.startswith("boxrevive: configuration error: ")
+        assert needle.format(path=cfgfile) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key, value", [
+        ("[DEFAULT]\nq2 = 1e-5\n", "q_squared", "1e-05"),
+        ("[system]\nQ2 = 1e-5\n", "q_squared", "1e-05"),
+        ("[system]\nq2: 1e-5\n", "q_squared", "1e-05"),
+        ("# note\n[system]\n; note\nq2 = 1e-5\n# q2 = 2e-5\n", "q_squared", "1e-05"),
+        ("[system]\nnmax-cap = 300\n", "n_max_cap", "300"),
+        ("[a]\nq2 = 1e-5\n[b]\nq2 = 2e-5\n", "q_squared", "2e-05"),
+    ], ids=["default_section", "upper_case_key", "colon", "comments", "hyphen", "last_wins"])
+    def test_accepted_syntax(self, tmp_path, text, key, value):
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfgfile.write_text(text)
+        rc = run_quiet(["fidelity", "--nt", "11", "--config", str(cfgfile), "--outdir", str(out)])
+        assert rc == 0
+        assert manifest_entries(out / "manifest.txt")[key] == value
+
     @pytest.mark.parametrize("sub, key", [
         (sub, key) for sub in GRID_VALUES for key in (*COMMON_VALUES, "outdir", *GRID_VALUES[sub])
     ])
@@ -479,6 +516,42 @@ class TestConfigFile:
     def test_grid_section_holds_the_subcommand_parameters(self, round_trip, sub):
         # The round trip covers every parameter only if GRID_VALUES is complete.
         assert round_trip(sub)[3] == set(GRID_VALUES[sub])
+
+
+class TestWarnings:
+    TURNOVER = (
+        "boxrevive: warning: PerturbativeValidityWarning: basis extends to n=31, past 0.7 of "
+        "the spectral turnover n*={}; quartic correction is no longer a small perturbation there"
+    )
+
+    def test_one_line_without_source_path(self, tmp_path):
+        rc, err = run_process(
+            ["subplanck", "--q2", "5e-4", "--t", "500", "--outdir", str(tmp_path)]
+        )
+        assert rc == 0
+        assert err == self.TURNOVER.format("31.62") + "\n"
+        assert ".py:" not in err
+
+    def test_warning_precedes_the_error_line(self, tmp_path):
+        rc, err = run_process(["wigner", "--q2", "0.1", "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        warning, error = err.splitlines()
+        assert warning == self.TURNOVER.format("2.236")
+        assert error.startswith("boxrevive: numerical contract failure: Wigner marginal mismatch")
+
+    def test_error_filter_still_raises(self, tmp_path, monkeypatch):
+        def warns(cfg):
+            warnings.warn("probe", RuntimeWarning)
+            return {}, {}
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "spectrum", (*cli.SUBCOMMANDS["spectrum"][:2], warns))
+        shown = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="probe"):
+                run(["spectrum", "--outdir", str(tmp_path / "out")])
+        assert warnings.showwarning is shown
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

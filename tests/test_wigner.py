@@ -142,7 +142,7 @@ class TestMarginalErrors:
 class TestParityMirror:
     FIELD = WignerField(
         np.linspace(0.0, 1.0, 3), np.linspace(-2.0, 2.0, 4),
-        np.arange(12.0).reshape(3, 4), time=0.5, captured_norm=0.99,
+        np.arange(12.0).reshape(3, 4), captured_norm=0.99,
     )
 
     def test_maps_each_cell_to_its_opposite(self):
@@ -156,7 +156,7 @@ class TestParityMirror:
         assert np.array_equal(twice.values, self.FIELD.values)
         assert np.array_equal(twice.x_axis, self.FIELD.x_axis)
         assert np.array_equal(twice.p_axis, self.FIELD.p_axis)
-        assert (twice.time, twice.captured_norm) == (0.5, 0.99)
+        assert twice.captured_norm == 0.99
 
 
 class TestOverlap:
