@@ -24,12 +24,14 @@ names). The key of flag --some-name is some_name (some-name is accepted too);
 a key that any subcommand declares is accepted, subcommands ignore keys they
 do not declare, and any other key is rejected. Explicit flags override file
 values. [DEFAULT] is read like any other section, values are literal text (no
-% interpolation), and a file that configparser cannot read (no section header,
-a repeated section or key, a line with no separator) exits 2 naming the file.
+% interpolation), and a file that cannot be read (missing, a directory, not
+UTF-8) or parsed (no section header, a repeated section or key, a line with
+no separator) exits 2 naming the file.
 
-Warnings print to stderr as they fire, one line each with no source path:
-"boxrevive: warning: <Category>: <message>". The warning filters are left as
-they are, so a filter that turns a warning into an error still raises.
+Run as a program (main), the CLI prints each warning to stderr as it fires,
+one line with no source path: "boxrevive: warning: <Category>: <message>".
+run() leaves the warning machinery alone, so a caller's filters and
+warnings.catch_warnings(record=True) see every warning it raises.
 """
 
 from __future__ import annotations
@@ -174,11 +176,13 @@ def _load_config_file(path: str) -> dict:
     # [DEFAULT] is read like any other section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file {path} ({exc})") from None
     except configparser.Error as exc:  # its message spans lines; print it as one
         raise ValueError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
-    if not read:
-        raise ValueError(f"config file not found: {path}")
     out = {}
     for section in parser.sections():
         for key, value in parser.items(section):
@@ -472,33 +476,32 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    with warnings.catch_warnings():  # restores showwarning; the filters stay as they are
-        warnings.showwarning = _show_warning
+    try:
+        cfg = resolve_config(args)
+        derived, artifacts = SUBCOMMANDS[cfg.subcommand][2](cfg)
+        derived["n_bar"] = cfg.n_bar()
         try:
-            cfg = resolve_config(args)
-            derived, artifacts = SUBCOMMANDS[cfg.subcommand][2](cfg)
-            derived["n_bar"] = cfg.n_bar()
-            try:
-                cfg.output_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ValueError(
-                    f"output directory {cfg.output_dir} cannot be created ({exc.strerror})"
-                ) from None
-        except ValueError as exc:
-            print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (TruncationError, ContractError) as exc:
-            print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"output directory {cfg.output_dir} cannot be created ({exc.strerror})"
+            ) from None
+    except ValueError as exc:
+        print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (TruncationError, ContractError) as exc:
+        print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
-        for name, write in artifacts.items():
-            if name.rpartition(".")[2] in (*cfg.formats, "json"):  # json is not a --formats choice
-                write(cfg.output_dir / name)
-        write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
+    for name, write in artifacts.items():
+        if name.rpartition(".")[2] in (*cfg.formats, "json"):  # json is not a --formats choice
+            write(cfg.output_dir / name)
+    write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
     return EXIT_OK
 
 
 def main() -> None:
+    warnings.showwarning = _show_warning  # the process's stderr only; run() leaves it alone
     sys.exit(run(sys.argv[1:]))
 
 

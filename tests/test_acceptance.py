@@ -215,9 +215,7 @@ def test_criterion_09_sensitivity_curves(ref_packet, cfg0):
     to within one unit in the last place of t: the mirrored cat) delta is
     1 +/- 0.05. At q2 = 6e-6, 1/(4 q2) = 125000/3, so tau = 5/12 and the cat
     is split further."""
-    solid = [(r.q_squared, d)
-             for r, d in sensitivity_reports(ref_packet, Q2_CURVE, "short_time")]
-    deltas = [d for _, d in solid]
+    deltas = [d for _, d in sensitivity_reports(ref_packet, Q2_CURVE, "short_time")]
     monotone = all(a >= b for a, b in zip(deltas, deltas[1:]))
     endpoint = abs(deltas[-1] - 0.61) <= 0.1
 

@@ -489,6 +489,22 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("make, needle", [
+        (Path.mkdir, "cannot read config file {path} (Is a directory)"),
+        # 0xff ends the q2 line: the file is not UTF-8.
+        (lambda path: path.write_bytes(b"[a]\nq2 = 1e-5\xff\n"), "cannot read config file "
+         "{path} ('utf-8' codec can't decode byte 0xff in position 13: invalid start byte)"),
+    ], ids=["directory", "not_utf8"])
+    def test_unreadable_file_is_exit_two(self, tmp_path, make, needle):
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "out"
+        make(cfgfile)
+        rc, err = run_process(
+            ["fidelity", "--nt", "11", "--config", str(cfgfile), "--outdir", str(out)]
+        )
+        assert rc == 2
+        assert err == f"boxrevive: configuration error: {needle.format(path=cfgfile)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, key, value", [
         ("[DEFAULT]\nq2 = 1e-5\n", "q_squared", "1e-05"),
         ("[system]\nQ2 = 1e-5\n", "q_squared", "1e-05"),
@@ -539,19 +555,27 @@ class TestWarnings:
         assert warning == self.TURNOVER.format("2.236")
         assert error.startswith("boxrevive: numerical contract failure: Wigner marginal mismatch")
 
-    def test_error_filter_still_raises(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """Make `spectrum` a runner that only warns RuntimeWarning("probe")."""
         def warns(cfg):
             warnings.warn("probe", RuntimeWarning)
             return {}, {}
 
         monkeypatch.setitem(cli.SUBCOMMANDS, "spectrum", (*cli.SUBCOMMANDS["spectrum"][:2], warns))
-        shown = warnings.showwarning
+
+    def test_error_filter_still_raises(self, tmp_path, probe):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="probe"):
                 run(["spectrum", "--outdir", str(tmp_path / "out")])
-        assert warnings.showwarning is shown
         assert not (tmp_path / "out").exists()
+
+    def test_recording_caller_sees_the_warning(self, tmp_path, probe):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["spectrum", "--outdir", str(tmp_path / "out")]) == 0
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "probe")]
 
 
 class TestDeterminism:

@@ -110,19 +110,13 @@ class TestEvaluationTime:
             evaluation_time(1e-5, "sideways")
 
 
-def sensitivity_pairs(packet, q2_list, mode):
-    """The sensitivity curve: pairs (q2, delta) of `sensitivity_reports` on SystemConfig()."""
-    return [(r.q_squared, d) for r, d in sensitivity_reports(packet, q2_list, mode)]
-
-
 class TestSensitivityCurve:
     def test_short_time_reference_point(self, ref_packet):
-        curve = dict(sensitivity_pairs(ref_packet, [0.0], "short_time"))
+        curve = {r.q_squared: d for r, d in sensitivity_reports(ref_packet, [0.0], "short_time")}
         assert curve[0.0] == pytest.approx(1.0, rel=1e-12)
 
     def test_short_time_curve_falls_monotonically(self, ref_packet):
-        curve = sensitivity_pairs(ref_packet, Q2_GRID, "short_time")
-        deltas = [d for _, d in curve]
+        deltas = [d for _, d in sensitivity_reports(ref_packet, Q2_GRID, "short_time")]
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
         assert deltas[-1] == pytest.approx(0.61, abs=0.1)
 
@@ -130,8 +124,8 @@ class TestSensitivityCurve:
         # Super-revival quarters rebuild the cat (mirrored) whenever 1/(4 q2)
         # lands on an integer number of revival periods; the moment-based
         # dimension is then indistinguishable from the unperturbed one.
-        curve = sensitivity_pairs(ref_packet, Q2_GRID, "super_revival")
-        assert [q for q, _ in curve] == [q for q in Q2_GRID if q > 0.0]
+        curve = sensitivity_reports(ref_packet, Q2_GRID, "super_revival")
+        assert [r.q_squared for r, _ in curve] == [q for q in Q2_GRID if q > 0.0]
         for _, delta in curve:
             assert delta == pytest.approx(1.0, abs=0.05)
 
@@ -139,7 +133,7 @@ class TestSensitivityCurve:
         # 1/(4 q2) = 125000/3 for q2 = 6e-6: the quadratic clock sits at a
         # two-thirds fractional revival there and splits the cat further, so
         # the measured dimension drops well below the unperturbed value.
-        (_, delta), = sensitivity_pairs(ref_packet, [6e-6], "super_revival")
+        (_, delta), = sensitivity_reports(ref_packet, [6e-6], "super_revival")
         assert delta < 0.5
 
     def test_super_revival_needs_a_positive_strength(self, ref_packet):
@@ -156,8 +150,8 @@ class TestSensitivityCurve:
         assert stars == ["31.62", "22.36"]
 
     def test_pairs_sorted_by_strength(self, ref_packet):
-        curve = sensitivity_pairs(ref_packet, [1e-5, 2e-6, 8e-6], "short_time")
-        qs = [q for q, _ in curve]
+        curve = sensitivity_reports(ref_packet, [1e-5, 2e-6, 8e-6], "short_time")
+        qs = [r.q_squared for r, _ in curve]
         assert qs == sorted(qs)
 
 
