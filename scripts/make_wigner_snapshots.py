@@ -54,9 +54,8 @@ def main():
             state = evolve(expand(packet, cfg), t, cfg)
             field = wigner(state, nx=args.grid, n_p=args.grid)
         fields[tag] = field
-        f2d = field.to_field2d()
-        write_field_csv(args.outdir / f"wigner_{tag}.csv", f2d)
-        write_field_pgm(args.outdir / f"wigner_{tag}.pgm", f2d, signed=True)
+        write_field_csv(args.outdir / f"wigner_{tag}.csv", field)
+        write_field_pgm(args.outdir / f"wigner_{tag}.pgm", field, signed=True)
         print(f"{tag:12s} q2={q2:<8g} t={t:<6g} min W = {np.min(field.values):+.4f}")
 
     ref = fields["a_cat"]

@@ -59,7 +59,7 @@ from .spectrum import (
     time_scales,
 )
 from .subplanck import MODES, sensitivity_reports, subplanck_dimension
-from .wavepacket import PacketSpec, TruncationError, default_p_max, evolve, expand
+from .wavepacket import MAX_LEVEL, PacketSpec, TruncationError, default_p_max, evolve, expand
 from .wigner import DEFAULT_GRID, marginal_errors, wigner
 
 EXIT_OK = 0
@@ -103,6 +103,7 @@ def _switch(text: str) -> int:
 
 AT_LEAST_0 = (lambda v: v >= 0.0, ">= 0")
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+LEVEL_DOMAIN = (lambda v: 1 <= v <= MAX_LEVEL, f"in the level domain [1, {MAX_LEVEL}]")
 
 _SYSTEM = SystemConfig()
 
@@ -344,15 +345,14 @@ def _run_wigner(cfg: RunConfig) -> tuple[dict, Artifacts]:
             f"Wigner marginal mismatch (x: {x_err:.3g}, p: {p_err:.3g}) exceeds "
             f"{MARGINAL_TOLERANCE:g}"
         )
-    f2d = field.to_field2d()
     return {
         **_expansion_derived(expansion),
         "marginal_error_x": x_err,
         "marginal_error_p": p_err,
         "min_value": float(np.min(field.values)),
     }, {
-        "wigner.csv": lambda path: write_field_csv(path, f2d),
-        "wigner.pgm": lambda path: write_field_pgm(path, f2d, signed=True),
+        "wigner.csv": lambda path: write_field_csv(path, field),
+        "wigner.pgm": lambda path: write_field_pgm(path, field, signed=True),
     }
 
 
@@ -426,7 +426,7 @@ def _run_fidelity(cfg: RunConfig) -> tuple[dict, Artifacts]:
 # subcommand -> (help, parameter table, runner); each table becomes the [grid] section.
 SUBCOMMANDS = {
     "spectrum": ("energy table and derived time scales", (
-        Param("nmax", int, 64, AT_LEAST_1, "largest level in the energy table"),
+        Param("nmax", int, 64, LEVEL_DOMAIN, "largest level in the energy table"),
     ), _run_spectrum),
     "carpet": ("space-time probability density", (
         Param("t0", float, 0.0, None, "window start [T_rev]"),

@@ -1,5 +1,9 @@
 """Sampled 2-d fields and their CSV / PGM exporters.
 
+Field2D is the one sampled-field type: a carpet has axis1 = t, axis2 = x; a
+Wigner field (wigner.WignerField) has axis1 = x, axis2 = p. meta holds the CSV
+header labels ("axis1", "axis2", "values") and the captured norm.
+
 CSV layout: two '#' header lines describing the axes and units, then a matrix
 whose first row holds the axis-2 coordinates and whose first column holds the
 axis-1 coordinates. All numbers are printed with 12 significant digits so

@@ -67,19 +67,19 @@ def subplanck_dimension(
 ) -> SubPlanckReport:
     """Evolve the packet to t and measure dx, dp, A = dx dp and a = 1/A.
 
-    expansion, if given, must be the packet's; its coefficients do not depend
-    on q2, so one expansion serves every strength with the same truncation.
+    expansion, if given, replaces expand(packet, cfg), its packet included; its
+    coefficients do not depend on q2, so one serves every strength with the same truncation.
     """
     if expansion is None:
         expansion = expand(packet, cfg)
     state = evolve(expansion, t, cfg)
-    x_forms, p_forms = _moment_forms(packet, expansion.n_min, expansion.n_max)
+    x_forms, p_forms = _moment_forms(state.packet, expansion.n_min, expansion.n_max)
     dx_eff = _form_std(x_forms, state.expansion.coefficients)
     dp_eff = _form_std(p_forms, state.expansion.coefficients)
     action = dx_eff * dp_eff
     spacing = None
     if with_fringe:
-        spacing = fringe_spacing(fringe_column(state), packet.x_bar)
+        spacing = fringe_spacing(fringe_column(state), state.packet.x_bar)
     return SubPlanckReport(
         time=t,
         q_squared=cfg.q_squared,

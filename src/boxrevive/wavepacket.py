@@ -132,10 +132,9 @@ class EigenExpansion:
 
 @dataclass(frozen=True)
 class EvolvedState:
-    """An expansion whose coefficients already carry the phases of time `time`."""
+    """An expansion whose coefficients already carry the eigenphases of one time."""
 
     expansion: EigenExpansion
-    time: float
 
     @property
     def packet(self) -> PacketSpec:
@@ -354,7 +353,7 @@ def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EvolvedSta
     evolved = EigenExpansion(
         expansion.n_min, expansion.coefficients * phases, expansion.captured_norm, expansion.packet
     )
-    return EvolvedState(expansion=evolved, time=t)
+    return EvolvedState(expansion=evolved)
 
 
 def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray:

@@ -34,13 +34,16 @@ cells each, so each of their angles theta L carries its own rounding error
 back in (Dekker's TwoProduct). The pair -> key layout (keys, bincount slots and the
 +-w, sign(e) factors) depends only on the level range and is cached per
 (n_min, n_max); each call does only the two bincounts.
+
+The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
+whose meta holds the axis labels and the captured norm; it is exported as is.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,34 +67,20 @@ POLE_GAP = 1e-2
 FRINGE_WINDOW = 0.25  # half-width in x around the centre where fringes are read
 
 
-@dataclass(frozen=True)
-class WignerField:
-    """Wigner values on x_axis (rows) by p_axis (columns) of one evolved state."""
+class WignerField(Field2D):
+    """Wigner values on axis1 = x (rows) by axis2 = p (columns) of one evolved state."""
 
-    x_axis: np.ndarray
-    p_axis: np.ndarray
-    values: np.ndarray
-    captured_norm: float
+    @property
+    def x_axis(self) -> np.ndarray:
+        return self.axis1
 
-    def __post_init__(self):
-        for name in ("x_axis", "p_axis", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.values.shape != (len(self.x_axis), len(self.p_axis)):
-            raise ValueError("values shape does not match axes")
+    @property
+    def p_axis(self) -> np.ndarray:
+        return self.axis2
 
-    def to_field2d(self) -> Field2D:
-        return Field2D(
-            self.x_axis,
-            self.p_axis,
-            self.values,
-            {
-                "axis1": "position [L]",
-                "axis2": "momentum [hbar/L]",
-                "values": "Wigner quasiprobability [1/hbar]",
-            },
-        )
+    @property
+    def captured_norm(self) -> float:
+        return self.meta["captured_norm"]
 
 
 def wigner(
@@ -170,12 +159,13 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
         out += term
         out[:, cols] += w[:, rows] * reach[:, :k].T
     values /= math.pi
-    return WignerField(
-        x_axis=x_axis,
-        p_axis=p_axis,
-        values=values,
-        captured_norm=state.expansion.captured_norm,
-    )
+    meta = {
+        "axis1": "position [L]",
+        "axis2": "momentum [hbar/L]",
+        "values": "Wigner quasiprobability [1/hbar]",
+        "captured_norm": state.expansion.captured_norm,
+    }
+    return WignerField(x_axis, p_axis, values, meta)
 
 
 def _angle_table(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -185,7 +185,7 @@ def test_criterion_07_super_revival(
     grid_mirrors = np.allclose(f.x_axis[::-1], 1.0 - f.x_axis) and np.allclose(
         f.p_axis[::-1], -f.p_axis
     )
-    flipped = WignerField(f.x_axis, f.p_axis, f.values[::-1, ::-1], f.captured_norm)
+    flipped = WignerField(f.x_axis, f.p_axis, f.values[::-1, ::-1], f.meta)
     mirrored = wigner_overlap(flipped, cat_wigner)
     three_quarter = wigner_overlap(wigner(evolve(exp_moderate, 1500.0, cfg_moderate)), cat_wigner)
     fidelity = abs(autocorrelation(exp_moderate, 2000.0, cfg_moderate))

@@ -267,6 +267,14 @@ class TestExitCodes:
         assert not out.exists()
         assert run_quiet([*command.split(), "--nbar-override", "16", "--outdir", str(out)]) == 0
 
+    @pytest.mark.parametrize("nmax", ["9742", "100000000000"])
+    def test_spectrum_nmax_past_the_level_domain_is_exit_two(self, tmp_path, capsys, nmax):
+        # Past MAX_LEVEL = 9741, n^4 is not an exact double; 1e11 rows would never finish.
+        out = tmp_path / "out"
+        assert run_quiet(["spectrum", "--nmax", nmax, "--outdir", str(out)]) == 2
+        assert f"nmax must be in the level domain [1, 9741] (got {nmax})" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["carpet", "--t0", "0.4", "--t1", "0.2"], 2),  # library precondition
         (["wigner", "--q2", "1e-5", "--t", "1.0"], 1),  # mid-bounce marginal breach
@@ -290,6 +298,18 @@ class TestArtifacts:
         header = (tmp_path / "carpet.pgm").read_bytes().split(b"\n")
         assert header[0] == b"P5"
         assert header[2] == b"64 32"  # nx columns by nt rows
+
+    @pytest.mark.parametrize("argv, name, header", [
+        (["carpet", "--nt", "8", "--nx", "32"], "carpet.csv",
+         "# axis1 (rows): time [T_rev]; axis2 (columns): position [L]; "
+         "values: probability density [1/L]"),
+        (["wigner", "--nx", "32", "--np", "32"], "wigner.csv",
+         "# axis1 (rows): position [L]; axis2 (columns): momentum [hbar/L]; "
+         "values: Wigner quasiprobability [1/hbar]"),
+    ], ids=["carpet", "wigner"])
+    def test_field_csv_names_its_axes(self, tmp_path, argv, name, header):
+        assert run_quiet([*argv, "--formats", "csv", "--outdir", str(tmp_path)]) == 0
+        assert (tmp_path / name).read_text().splitlines()[0] == header
 
     @pytest.mark.parametrize("formats", ["csv", "pgm", "csv,pgm"])
     @pytest.mark.parametrize("argv, artifacts", [
@@ -322,6 +342,12 @@ class TestArtifacts:
         rows = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert rows[3].startswith("1,")
         assert len(rows) == 3 + 64
+
+    def test_spectrum_table_reaches_the_last_level(self, tmp_path):
+        assert run_quiet(["spectrum", "--nmax", "9741", "--outdir", str(tmp_path)]) == 0
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[3:]
+        assert len(rows) == 9741
+        assert rows[-1].startswith("9741,")
 
     def test_negative_momentum_keeps_n_bar(self, tmp_path):
         # |a_n| is unchanged under p_bar -> -p_bar, so every time scale is too.

@@ -1,5 +1,5 @@
-"""Lint: every imported name in the program, scripts and tests is read somewhere,
-and no public name of the package lives on unit tests alone.
+"""Lint: every imported name in the program, scripts, tests and benchmark is
+read somewhere, and no public name of the package lives on unit tests alone.
 
 No linter is a dependency, so this test does the unused-import check with `ast`.
 `__init__.py` is skipped: its imports are the package's public names.
@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     path
-    for folder in ("src/boxrevive", "scripts", "tests")
+    for folder in ("src/boxrevive", "scripts", "tests", "perfbench")
     for path in (ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
 )

@@ -93,6 +93,15 @@ class TestSingleReport:
         report = subplanck_dimension(ref_packet, cfg0, 0.25, with_fringe=True)
         assert report.fringe_spacing == pytest.approx(math.pi / 50.0, rel=0.10)
 
+    def test_given_expansion_decides_the_packet(self, ref_packet, cfg_weak):
+        # Widths and the fringe window centre follow the expansion, not the
+        # packet argument: other's forms and centre differ from ref_packet's.
+        other = PacketSpec(x_bar=0.4, delta_x=0.08, p_bar=40.0)
+        report = subplanck_dimension(
+            ref_packet, cfg_weak, 0.25, True, expansion=expand(other, cfg_weak)
+        )
+        assert report == subplanck_dimension(other, cfg_weak, 0.25, True)
+
 
 class TestEvaluationTime:
     def test_short_time(self):

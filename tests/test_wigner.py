@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from boxrevive import (
     CoverageError,
+    Field2D,
     PacketSpec,
     SystemConfig,
     evolve,
@@ -23,6 +24,7 @@ from boxrevive import (
     position_density,
     wigner,
     wigner_overlap,
+    write_field_pgm,
 )
 from boxrevive.fields import trapezoid_2d
 from boxrevive.wavepacket import EigenExpansion, EvolvedState
@@ -130,7 +132,7 @@ class TestMarginalErrors:
         assert p_err < 1e-13
         coeffs = state.expansion.coefficients.copy()
         coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-10
-        kicked = EvolvedState(replace(state.expansion, coefficients=coeffs), state.time)
+        kicked = EvolvedState(replace(state.expansion, coefficients=coeffs))
         _, kicked_err = marginal_errors(field, kicked)
         assert kicked_err > 1e-12
 
@@ -142,7 +144,7 @@ class TestMarginalErrors:
 class TestParityMirror:
     FIELD = WignerField(
         np.linspace(0.0, 1.0, 3), np.linspace(-2.0, 2.0, 4),
-        np.arange(12.0).reshape(3, 4), captured_norm=0.99,
+        np.arange(12.0).reshape(3, 4), {"captured_norm": 0.99},
     )
 
     def test_maps_each_cell_to_its_opposite(self):
@@ -157,6 +159,18 @@ class TestParityMirror:
         assert np.array_equal(twice.x_axis, self.FIELD.x_axis)
         assert np.array_equal(twice.p_axis, self.FIELD.p_axis)
         assert twice.captured_norm == 0.99
+
+
+class TestExport:
+    def test_fields_are_field2d_and_export_signed(self, cat_state, tmp_path):
+        fields = {"grid": wigner(cat_state, nx=32, n_p=16), "column": fringe_column(cat_state)}
+        for name, field in fields.items():
+            assert isinstance(field, Field2D)
+            write_field_pgm(tmp_path / f"{name}.pgm", field, signed=True)
+            rows, cols = field.values.shape
+            header = (tmp_path / f"{name}.pgm").read_bytes().split(b"\n")[:3]
+            assert header[1].startswith(b"# mapping=symmetric")
+            assert header[2] == f"{cols} {rows}".encode()
 
 
 class TestOverlap:
@@ -371,7 +385,7 @@ class TestClosedForm:
         PacketSpec(0.5, 1e-300, 1.7e308),   # p_max is finite, 2 p_max is not
     ], ids=["inf_p_max", "inf_2p_max"])
     def test_fringe_column_checks_2p_max_before_building_its_axis(self, packet):
-        state = EvolvedState(EigenExpansion(1, np.array([1 + 0j]), 1.0, packet), 0.0)
+        state = EvolvedState(EigenExpansion(1, np.array([1 + 0j]), 1.0, packet))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="2 p_max must be finite"):
