@@ -20,8 +20,13 @@ Evolution is exact: in units of T_rev the phase of level n at time t is
 before any trigonometric call by an error-free float transformation (Dekker's
 splitting into exact double products, each reduced modulo one exactly), so
 the reduced count is within 1e-15 cycles of the exact one and times as large
-as 1e5 T_rev lose no accuracy. Its domain is |t| max(1, q2) <= MAX_ABS_TIME
-and n <= MAX_LEVEL; phase_cycles rejects anything outside it.
+as 1e5 T_rev lose no accuracy. Products whose level factor is zero for every
+level are skipped: for n <= 90 a q2 > 0 reduction forms 6 of them, not 10.
+An array of times is reduced in tiles of consecutive times whose stack of
+parts fills at most _TILE_BYTES, so it stays in cache; autocorrelation sums
+each tile as it goes and never holds a scan's (times x levels) phases. Its
+domain is |t| max(1, q2) <= MAX_ABS_TIME and integer n with |n| <= MAX_LEVEL;
+phase_cycles checks it once per call and rejects anything outside it.
 """
 
 from __future__ import annotations
@@ -56,7 +61,9 @@ P_COVER_FACTOR = 6.0
 MAX_ABS_TIME = 1e200
 MAX_LEVEL = 9741  # largest n with n^4 < 2^53
 _SPLITTER = 134217729.0  # 2^27 + 1
-_BLOCK_CELLS = 1 << 16  # (time, level) cells reduced per block of an array of times
+# Bytes of the (products x times x levels) stack of reduced parts per tile of an
+# array of times: with its rounding temporary it stays well inside a 2 MB L2.
+_TILE_BYTES = 1 << 18
 
 
 class TruncationError(RuntimeError):
@@ -258,11 +265,15 @@ def _centered(x):
 
 
 @functools.lru_cache(maxsize=8)
-def _level_factors(dtype: str, raw: bytes) -> np.ndarray:
+def _level_factors(dtype: str, raw: bytes) -> tuple:
     """Rows L_k(n) pairing with the time factors of `_time_factors`, read-only.
 
-    n^2 has at most 27 significant bits and the halves of n^4 at most 26, so
-    every product with a 26-bit time factor is an exact double.
+    Returns (rows, keep): keep lists the factor index k of each row. The n^4
+    rows that are zero for every level are dropped (the low halves vanish
+    when every n^4 < 2^26, i.e. n <= 90), so a q2 > 0 reduction forms 6 exact
+    products there instead of 10. n^2 has at most 27 significant bits and the
+    halves of n^4 at most 26, so every product with a 26-bit time factor is
+    an exact double.
     """
     n = np.frombuffer(raw, dtype=dtype).astype(float)
     if n.size and not np.max(np.abs(n)) <= MAX_LEVEL:
@@ -270,18 +281,27 @@ def _level_factors(dtype: str, raw: bytes) -> np.ndarray:
             f"|n| <= {MAX_LEVEL} violated (got {np.max(np.abs(n)):.0f}); n^4 is no longer "
             "an exact double past it"
         )
+    fractional = n[n != np.rint(n)]
+    if fractional.size:
+        raise ValueError(
+            f"levels must be integers (got n = {fractional[0]:g}); the reduction of t "
+            "modulo one cycle holds only for integer n^2"
+        )
     n2 = n * n
     n4_hi, n4_lo = _split(n2 * n2)
-    rows = np.array([n2, n2] + [n4_hi, n4_lo] * 4)
+    rows = [n2, n2] + [n4_hi, n4_lo] * 4
+    keep = (0, 1) + tuple(k for k in range(2, len(rows)) if rows[k].any())
+    rows = np.array([rows[k] for k in keep])
     rows.setflags(write=False)
-    return rows
+    return rows, keep
 
 
 def _time_factors(t, q2: float) -> list:
     """Factors c_k with t (n^2 - q2 n^4) = sum_k c_k L_k(n) (mod 1), each c_k 26 bits.
 
-    t n^2 = tau n^2 (mod 1) with tau = t - rint(t). Dekker's TwoProduct gives
-    t q2 = s + sigma exactly; s and sigma reduced the same way multiply n^4.
+    t n^2 = tau n^2 (mod 1) with tau = t - rint(t), since n^2 is an integer.
+    Dekker's TwoProduct gives t q2 = s + sigma exactly; s and sigma reduced
+    the same way multiply n^4.
     """
     tau_hi, tau_lo = _split(_centered(t))
     if not q2:
@@ -292,11 +312,14 @@ def _time_factors(t, q2: float) -> list:
     return [tau_hi, tau_lo, s_hi, s_hi, s_lo, s_lo, sigma_hi, sigma_hi, sigma_lo, sigma_lo]
 
 
-def _reduced_cycles(t, q2: float, levels: np.ndarray) -> np.ndarray:
+def _reduced_cycles(t, q2: float, levels: tuple) -> np.ndarray:
     """phase_cycles for a float t (shape (n,)) or a 1-d array of times (shape (len, n))."""
-    factors = np.array(_time_factors(t, q2))  # (k,) or (k, len(t))
-    levels = levels[: len(factors)]
-    parts = factors[..., None] * (levels if factors.ndim == 1 else levels[:, None, :])
+    rows, keep = levels
+    factors = _time_factors(t, q2)
+    keep = keep[: len(factors)]
+    factors = np.array([factors[k] for k in keep])  # (k,) or (k, len(t))
+    rows = rows[: len(keep)]
+    parts = factors[..., None] * (rows if factors.ndim == 1 else rows[:, None, :])
     parts -= np.rint(parts)
     # Pairwise sum, reduced after every level: each addition rounds by <= 2^-54.
     while len(parts) > 1:
@@ -309,20 +332,14 @@ def _reduced_cycles(t, q2: float, levels: np.ndarray) -> np.ndarray:
     return cycles
 
 
-def phase_cycles(t, q2: float, n_values) -> np.ndarray:
-    """t * (n^2 - q2 n^4) modulo one, in [0, 1), for each n; error-free to 1e-15.
+def _cycle_tiles(t: np.ndarray, q2: float, n_values):
+    """Check the domain of a phase_cycles call once, then yield (index, cycles) per tile.
 
-    t is a float or an array of times; the result has shape
-    (*shape(t), len(n_values)). t and q2 enter as the exact rationals their
-    doubles represent. Dekker's splitting turns t n^2 and t q2 n^4 into sums of
-    exact double products; each product is reduced modulo one exactly and the
-    reduced parts are summed pairwise, so the cycle count is within 6e-16 of
-    the exact fractional part (circularly) however large t n^4 grows.
-
-    Domain: |t| max(1, q2) <= MAX_ABS_TIME (past it the splitting overflows)
-    and |n| <= MAX_LEVEL (past it n^4 is not an exact double).
+    A 0-d t is one tile: index 0 and cycles of shape (levels,). An array is
+    read flat in tiles of consecutive times whose (products x times x levels)
+    stack of reduced parts fills at most _TILE_BYTES; each yields its slice
+    of the flat times and cycles of shape (tile, levels).
     """
-    t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         span = abs(float(t))
     else:
@@ -337,13 +354,39 @@ def phase_cycles(t, q2: float, n_values) -> np.ndarray:
     n = np.asarray(n_values)
     levels = _level_factors(n.dtype.str, n.tobytes())
     if t.ndim == 0:
-        return _reduced_cycles(float(t), q2, levels)
+        yield 0, _reduced_cycles(float(t), q2, levels)
+        return
     flat = t.reshape(-1)
-    out = np.empty((flat.size, n.size))
-    step = max(1, _BLOCK_CELLS // max(1, n.size))
+    depth = len(levels[0]) if q2 else 2
+    step = max(1, _TILE_BYTES // (8 * depth * max(1, n.size)))
     for i in range(0, flat.size, step):
-        out[i : i + step] = _reduced_cycles(flat[i : i + step], q2, levels)
-    return out.reshape(t.shape + (n.size,))
+        yield slice(i, i + step), _reduced_cycles(flat[i : i + step], q2, levels)
+
+
+def phase_cycles(t, q2: float, n_values) -> np.ndarray:
+    """t * (n^2 - q2 n^4) modulo one, in [0, 1), for each n; error-free to 1e-15.
+
+    t is a float or an array of times; the result has shape
+    (*shape(t), len(n_values)). t and q2 enter as the exact rationals their
+    doubles represent. Dekker's splitting turns t n^2 and t q2 n^4 into sums of
+    exact double products (the n^4 products whose level factor is zero for
+    every n are skipped); each product is reduced modulo one exactly and the
+    reduced parts are summed pairwise, so the cycle count is within 6e-16 of
+    the exact fractional part (circularly) however large t n^4 grows. An
+    array of times is reduced in cache-sized tiles of consecutive times.
+
+    Domain: |t| max(1, q2) <= MAX_ABS_TIME (past it the splitting overflows),
+    |n| <= MAX_LEVEL (past it n^4 is not an exact double) and integer n.
+    """
+    t = np.asarray(t, dtype=float)
+    tiles = _cycle_tiles(t, q2, n_values)
+    if t.ndim == 0:
+        return next(tiles)[1]
+    size = np.size(n_values)
+    out = np.empty((t.size, size))
+    for tile, cycles in tiles:
+        out[tile] = cycles
+    return out.reshape(t.shape + (size,))
 
 
 def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EvolvedState:
@@ -432,9 +475,15 @@ def _check_reach(packet: PacketSpec, p_max: float) -> None:
 def autocorrelation(expansion: EigenExpansion, t, cfg: SystemConfig):
     """Overlap sum |a_n|^2 e^{-i E_n t} between the initial and evolved state.
 
-    A float t gives a complex; an array of times gives a complex array of its shape.
+    A float t gives a complex; an array of times gives a complex array of its
+    shape. Each tile of phase cycles is summed as soon as it is reduced, so a
+    scan never holds its (times x levels) phases at once.
     """
-    cycles = phase_cycles(t, cfg.q_squared, expansion.n_values)
+    t = np.asarray(t, dtype=float)
     weights = np.abs(expansion.coefficients) ** 2
-    values = np.exp(-2j * math.pi * cycles) @ weights
-    return complex(values) if np.ndim(t) == 0 else values
+    values = np.empty(t.size, dtype=complex)
+    for tile, cycles in _cycle_tiles(t, cfg.q_squared, expansion.n_values):
+        # Summed elementwise, not by a BLAS product per tile: on a busy host each
+        # small threaded BLAS call can wait milliseconds for its worker thread.
+        values[tile] = (np.exp(-2j * math.pi * cycles) * weights).sum(axis=-1)
+    return complex(values[0]) if t.ndim == 0 else values.reshape(t.shape)

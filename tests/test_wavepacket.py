@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -286,6 +287,32 @@ class TestPhaseReduction:
         with pytest.raises(ValueError, match="finite"):
             phase_cycles(np.array([0.0, math.nan]), 0.0, [1])
 
+    @pytest.mark.parametrize("n", [[3.5], [3, 4.5, 5]])
+    def test_non_integer_levels_rejected(self, n):
+        # t = 1.25 at n = 3.5 is 15.3125 cycles; reducing t first would give 0.0625.
+        with pytest.raises(ValueError, match="levels must be integers"):
+            phase_cycles(1.25, 0.0, n)
+        assert np.array_equal(phase_cycles(1.25, 0.0, [3.0]), phase_cycles(1.25, 0.0, [3]))
+
+    @pytest.mark.parametrize("q2", [0.0, 1e-5])
+    @pytest.mark.parametrize("n, products", [(np.arange(3, 32), 6), (np.arange(3, 3000, 103), 10)])
+    def test_tiled_array_matches_scalar_calls_and_oracle(self, monkeypatch, q2, n, products):
+        # Levels <= 90 keep 6 exact products (the low halves of n^4 are zero), larger keep 10.
+        assert len(wavepacket._level_factors(n.dtype.str, n.tobytes())[0]) == products
+        tiles = []
+        reduce = wavepacket._reduced_cycles
+        monkeypatch.setattr(
+            wavepacket, "_reduced_cycles", lambda t, *a: tiles.append(np.size(t)) or reduce(t, *a)
+        )
+        rng = np.random.default_rng(16)
+        t = np.concatenate([rng.uniform(-1e5, 1e5, 1000), rng.integers(1, 9, 1001) / 4e-5])
+        got = phase_cycles(t, q2, n)
+        assert len(tiles) >= 4 and tiles[-1] < tiles[0] and sum(tiles) == len(t)
+        for ti, row in zip(t, got):
+            assert np.array_equal(row, phase_cycles(float(ti), q2, n))
+        for ti, row in zip(t[::97], got[::97]):
+            assert circular_error(row, fraction_phase_cycles(float(ti), q2, n)) <= PHASE_TOL
+
 
 class TestPositionDensity:
     def test_initial_peak_height(self, exp0, cfg0):
@@ -442,6 +469,43 @@ class TestAutocorrelation:
         want = np.array([autocorrelation(exp0, ti, cfg) for ti in t])
         assert isinstance(autocorrelation(exp0, t[0], cfg), complex)
         assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("q2", [0.0, 1e-5])
+    def test_tiled_time_grid_matches_scalar_calls(self, exp0, q2):
+        cfg = SystemConfig(q2)
+        t = np.linspace(0.0, 1e5, 87 * 23).reshape(87, 23)  # several tiles of 29 levels
+        got = autocorrelation(exp0, t, cfg)
+        assert got.shape == t.shape
+        want = np.array([autocorrelation(exp0, ti, cfg) for ti in t.flat]).reshape(t.shape)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (math.nan, "time must be finite (got a non-finite sample)"),
+            (-math.inf, "time must be finite (got a non-finite sample)"),
+            (2e200, "|t| * max(1, q2) <= 1e+200 violated (got |t| = 2e+200, q2 = 1e-05); "
+             "the error-free phase reduction overflows past it"),
+        ],
+    )
+    def test_bad_sample_in_last_tile_rejected_before_any_tile(self, monkeypatch, exp0, bad, message):
+        monkeypatch.setattr(wavepacket, "_reduced_cycles", pytest.fail)
+        t = np.linspace(0.0, 1e5, 87 * 23).reshape(87, 23)
+        t[-1, -1] = bad
+        with pytest.raises(ValueError) as err:
+            autocorrelation(exp0, t, SystemConfig(1e-5))
+        assert str(err.value) == message
+
+    def test_long_scan_reduces_tile_by_tile(self, exp_weak, cfg_weak):
+        # The (times x levels) phases of 100 001 samples would take 23 MB; a tile takes 0.25 MB.
+        t = np.linspace(0.0, 1e5, 100_001)
+        tracemalloc.start()
+        try:
+            autocorrelation(exp_weak, t, cfg_weak)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_peak_sits_on_classical_comb(self, ref_packet, exp_weak, cfg_weak):
         """Near the shifted revival the best |A| peak is the classical
