@@ -386,7 +386,7 @@ def _run_subplanck(cfg: RunConfig) -> tuple[dict, Artifacts]:
 
 def _run_revivals(cfg: RunConfig) -> tuple[dict, Artifacts]:
     n_bar = cfg.clock_n_bar()
-    predictions = enumerate_fractional(n_bar, cfg.system, cfg.grid["smax"])
+    predictions = enumerate_fractional(cfg.system, cfg.grid["smax"])
     ts = time_scales(n_bar, cfg.system)
     payload = {
         "q_squared": cfg.system.q_squared,

@@ -1,12 +1,12 @@
 """Revival prediction and detection.
 
-Fractional revivals of the relativistically perturbed box occur at times that
-are simultaneously rational fractions of both super-revival clocks,
-
-    t = (r1/s1) t_sr3 = (r2/s2) t_sr4,      t_sr4 = 4 n_bar t_sr3,
-
-with each (r, s) pair coprime. Predictions are enumerated with exact rational
-arithmetic; floats appear only when a prediction is handed to a scan.
+Fractional revivals of the relativistically perturbed box are expected at the
+instants (r2/s2) t_sr4, t_sr4 = 1/q2, for each reduced proper fraction r2/s2
+(Averbukh & Perelman, Phys. Lett. A 139, 449 (1989)). They are listed in
+ascending order by one walk of the Farey sequence F_smax, the reduced
+fractions with denominator <= smax: the next-term recurrence is integer
+arithmetic, so no set and no sort are needed. Each time is the correctly
+rounded double of the exact rational (r2/s2)/q2.
 
 A fidelity scan samples |A(t)| on a window checked by `fields.uniform_times`
 and returns plain data: the samples, their refined peaks and the captured
@@ -15,32 +15,25 @@ norm the peak threshold is measured against.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
 from .fields import local_maxima, parabolic_vertex, uniform_times
-from .spectrum import SystemConfig
+from .spectrum import SystemConfig, _check_quartic_clock
 from .wavepacket import EigenExpansion, PacketSpec, autocorrelation, expand
 
 PEAK_THRESHOLD = 0.8  # fraction of the captured norm a peak must reach
 
-RevivalKind = Literal["super4"]
-
 
 @dataclass(frozen=True)
 class RevivalPrediction:
-    """One commensurate revival time and its exact clock fractions."""
+    """One fractional revival time (r2/s2) t_sr4 and its reduced fraction."""
 
     time: float
-    r1: int
-    s1: int
     r2: int
     s2: int
-    kind: RevivalKind
 
 
 @dataclass(frozen=True)
@@ -53,41 +46,25 @@ class FidelityScan:
     captured_norm: float
 
 
-def enumerate_fractional(n_bar: int, cfg: SystemConfig, s_max: int) -> list[RevivalPrediction]:
-    """All proper fractions (r2/s2) t_sr4 with s2 <= s_max, sorted ascending.
+def enumerate_fractional(cfg: SystemConfig, s_max: int) -> list[RevivalPrediction]:
+    """All proper fractions (r2/s2) t_sr4 with s2 <= s_max, in ascending order.
 
-    The matching fraction of the cubic clock follows exactly from
-    t_sr4 = 4 n_bar t_sr3.
+    Each time r2 den / (s2 num), with num/den = q2, is rounded once by int
+    true division.
     """
     if cfg.q_squared <= 0.0:
         raise ValueError("super-revival clocks are undefined for q_squared = 0")
-    if int(n_bar) != n_bar or n_bar < 1:
-        raise ValueError(f"n_bar must be a positive integer (got {n_bar})")
-    if s_max < 2:
+    _check_quartic_clock(cfg.q_squared)
+    if operator.index(s_max) < 2:  # a float s_max would walk in floats
         raise ValueError(f"s_max must be >= 2 (got {s_max})")
 
-    t_sr4 = Fraction(1, 1) / Fraction(cfg.q_squared)
-    fractions = sorted(
-        {
-            Fraction(r2, s2)
-            for s2 in range(2, s_max + 1)
-            for r2 in range(1, s2)
-            if math.gcd(r2, s2) == 1
-        }
-    )
+    num, den = cfg.q_squared.as_integer_ratio()
+    a, b, c, d = 0, 1, 1, s_max
     out = []
-    for f2 in fractions:
-        f1 = f2 * 4 * int(n_bar)
-        out.append(
-            RevivalPrediction(
-                time=float(f2 * t_sr4),
-                r1=f1.numerator,
-                s1=f1.denominator,
-                r2=f2.numerator,
-                s2=f2.denominator,
-                kind="super4",
-            )
-        )
+    while c < d:
+        out.append(RevivalPrediction(time=c * den / (d * num), r2=c, s2=d))
+        k = (s_max + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return out
 
 

@@ -122,6 +122,13 @@ def mean_quantum_number(p_bar: float) -> int:
     return int(round(abs(p_bar) / math.pi))
 
 
+def _check_quartic_clock(q2: float) -> None:
+    """Raise ValueError when q2 > 0 is so small that t_sr4 = 1/q2 overflows a double."""
+    if q2 > 0.0 and math.isinf(1.0 / q2):
+        raise ValueError(f"1/q_squared <= {sys.float_info.max:.6g} violated (got q_squared = "
+                         f"{q2!r}); t_sr4 = 1/q_squared overflows a double past it")
+
+
 def time_scales(n_bar: int, cfg: SystemConfig) -> TimeScales:
     """All derived periods for a packet centered on level n_bar, in T_rev units.
 
@@ -133,7 +140,7 @@ def time_scales(n_bar: int, cfg: SystemConfig) -> TimeScales:
 
     Raises PerturbativeRegimeError when 6 q2 n_bar^2 >= 1, where the shifted
     revival time stops being a positive finite quantity, and ValueError when
-    n_bar^3 overflows a double.
+    n_bar^3 or t_sr4 overflows a double.
     """
     if int(n_bar) != n_bar or n_bar < 1:
         raise ValueError(f"n_bar must be a positive integer (got {n_bar})")
@@ -142,6 +149,7 @@ def time_scales(n_bar: int, cfg: SystemConfig) -> TimeScales:
         raise ValueError(f"n_bar^3 <= {sys.float_info.max:.6g} violated (got n_bar = "
                          f"10^{math.log10(n_bar):.6g}); the time scales overflow past it")
     q2 = cfg.q_squared
+    _check_quartic_clock(q2)
     if q2 > 0.0 and 6.0 * q2 * n_bar**2 >= 1.0:
         raise PerturbativeRegimeError(
             f"beyond perturbative regime: 6*q2*n_bar^2 = {6.0 * q2 * n_bar**2:.6g} >= 1"

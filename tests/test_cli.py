@@ -275,6 +275,20 @@ class TestExitCodes:
         assert f"nmax must be in the level domain [1, 9741] (got {nmax})" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "spectrum --q2 1e-310",
+        "revivals --q2 3e-309 --smax 2",
+        "revivals --q2 1e-310 --smax 2",
+    ])
+    def test_subnormal_q2_overflowing_t_sr4_is_exit_two(self, tmp_path, command):
+        # At or below 1/DBL_MAX ~ 5.56e-309, t_sr4 = 1/q2 is not a finite double.
+        out = tmp_path / "out"
+        rc, err = run_process([*command.split(), "--outdir", str(out)])
+        assert rc == 2
+        assert "1/q_squared <= 1.79769e+308 violated" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["carpet", "--t0", "0.4", "--t1", "0.2"], 2),  # library precondition
         (["wigner", "--q2", "1e-5", "--t", "1.0"], 1),  # mid-bounce marginal breach
@@ -365,8 +379,14 @@ class TestArtifacts:
             ["revivals", "--q2", "5e-4", "--smax", "4", "--outdir", str(tmp_path)]
         )
         assert rc == 0
-        payload = json.loads((tmp_path / "revivals.json").read_text())
+
+        def reject(name):
+            raise ValueError(f"revivals.json holds {name}")
+
+        payload = json.loads((tmp_path / "revivals.json").read_text(), parse_constant=reject)
+        assert {"n_bar", "q_squared", "s_max", "t_sr3", "t_sr4"} <= set(payload)
         assert payload["t_sr4"] == pytest.approx(2000.0)
+        assert all(set(p) == {"time", "r2", "s2"} for p in payload["predictions"])
         times = [p["time"] for p in payload["predictions"]]
         assert times == sorted(times)
         assert 500.0 in times

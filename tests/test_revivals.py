@@ -18,44 +18,55 @@ from boxrevive import (
 
 class TestEnumeration:
     def test_quarter_point(self, cfg_moderate):
-        preds = enumerate_fractional(16, cfg_moderate, 4)
+        preds = enumerate_fractional(cfg_moderate, 4)
         quarter = next(p for p in preds if (p.r2, p.s2) == (1, 4))
         assert quarter.time == pytest.approx(500.0, rel=1e-12)
-        assert (quarter.r1, quarter.s1) == (16, 1)
 
     def test_half_point(self, cfg_moderate):
-        preds = enumerate_fractional(16, cfg_moderate, 4)
+        preds = enumerate_fractional(cfg_moderate, 4)
         half = next(p for p in preds if (p.r2, p.s2) == (1, 2))
-        assert (half.r1, half.s1) == (32, 1)
         assert half.time == pytest.approx(1000.0, rel=1e-12)
 
     def test_sorted_and_distinct(self, cfg_moderate):
-        times = [p.time for p in enumerate_fractional(16, cfg_moderate, 6)]
+        times = [p.time for p in enumerate_fractional(cfg_moderate, 6)]
         assert times == sorted(times)
         assert len(set(times)) == len(times)
 
     def test_rejects_quadratic_spectrum(self, cfg0):
         with pytest.raises(ValueError):
-            enumerate_fractional(16, cfg0, 4)
+            enumerate_fractional(cfg0, 4)
 
     def test_rejects_small_smax(self, cfg_moderate):
         with pytest.raises(ValueError):
-            enumerate_fractional(16, cfg_moderate, 1)
+            enumerate_fractional(cfg_moderate, 1)
+        with pytest.raises(TypeError):
+            enumerate_fractional(cfg_moderate, 4.0)
 
     @given(
-        n_bar=st.integers(1, 40),
-        s_max=st.integers(2, 8),
-        q2=st.sampled_from([1e-6, 1e-5, 2.5e-4]),
+        s_max=st.integers(2, 60),
+        q2=st.sampled_from([2.0**-11, 5e-4, 1e-5, 6e-6, 3e-7, 1e-300]),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_fraction_pairs_are_exact_and_coprime(self, n_bar, s_max, q2):
-        preds = enumerate_fractional(n_bar, SystemConfig(q2), s_max)
+    @settings(max_examples=40, deadline=None)
+    def test_farey_walk_matches_sorted_fraction_set(self, s_max, q2):
+        preds = enumerate_fractional(SystemConfig(q2), s_max)
+        expected = sorted({Fraction(r, s) for s in range(2, s_max + 1) for r in range(1, s)})
+        assert [(p.r2, p.s2) for p in preds] == [
+            (f.numerator, f.denominator) for f in expected
+        ]
+        # sum of Euler's phi(s) over 2 <= s <= s_max
+        assert len(preds) == sum(
+            sum(math.gcd(r, s) == 1 for r in range(1, s + 1)) for s in range(2, s_max + 1)
+        )
         for p in preds:
-            assert math.gcd(p.r1, p.s1) == 1
-            assert math.gcd(p.r2, p.s2) == 1
-            assert p.s2 <= s_max and 0 < p.r2 < p.s2
-            # both clock conditions name the same instant, exactly
-            assert Fraction(p.r1, p.s1) == Fraction(p.r2, p.s2) * 4 * n_bar
+            # the correctly rounded double of the exact rational (r2/s2)/q2
+            assert p.time.hex() == float(Fraction(p.r2, p.s2) / Fraction(q2)).hex()
+
+    def test_rejects_q2_whose_super_revival_time_overflows(self):
+        (half,) = enumerate_fractional(SystemConfig(math.nextafter(2.0**-1024, 1.0)), 2)
+        assert math.isfinite(half.time)
+        for q2 in (2.0**-1024, 1e-310):
+            with pytest.raises(ValueError, match="t_sr4 = 1/q_squared overflows"):
+                enumerate_fractional(SystemConfig(q2), 2)
 
 
 class TestFidelityScan:
@@ -93,7 +104,7 @@ class TestFidelityScan:
     ):
         """Every enumerated quartic-clock fraction with s2 <= 4 lands on a
         local maximum of |A| within one scan step."""
-        preds = enumerate_fractional(16, cfg_moderate, 4)
+        preds = enumerate_fractional(cfg_moderate, 4)
         for pred in preds:
             scan = fidelity_scan(
                 ref_packet,

@@ -149,6 +149,14 @@ class TestTimeScales:
         with pytest.raises(ValueError, match=r"n_bar\^3"):
             time_scales(10**400, SystemConfig(1e-5))
 
+    def test_rejects_q2_whose_super_revival_time_overflows(self):
+        # 1/q2 is finite down to the double just above 2^-1024 = 1/DBL_MAX rounded.
+        smallest = math.nextafter(2.0**-1024, 1.0)
+        assert math.isfinite(time_scales(16, SystemConfig(smallest)).t_sr4)
+        for q2 in (2.0**-1024, 3e-309, 1e-310, 5e-324):
+            with pytest.raises(ValueError, match="t_sr4 = 1/q_squared overflows"):
+                time_scales(16, SystemConfig(q2))
+
     def test_rejects_nonperturbative_regime(self):
         with pytest.raises(PerturbativeRegimeError):
             time_scales(16, SystemConfig(1e-3))  # 6 q2 nbar^2 = 1.536
