@@ -15,9 +15,10 @@ fails its check, an output directory that cannot be created, or a
 precondition the library checks during the run (packet and system
 parameters, the captured-norm bound of the expansion, grid sizes and time
 windows, momentum-grid coverage, the time and level domain of the phase
-reduction); the message names the broken precondition. Numerical contract
-failures (truncation, row-norm and marginal-check breaches) exit with
-status 1.
+reduction), or a computation that does not fit in memory; the message names
+the broken precondition, or the size and shape that could not be allocated.
+Numerical contract failures (truncation, row-norm and marginal-check
+breaches) exit with status 1.
 
 Flags may also be supplied through a key = value config file (any section
 names). The key of flag --some-name is some_name (some-name is accepted too);
@@ -488,6 +489,9 @@ def run(argv) -> int:
             ) from None
     except ValueError as exc:
         print(f"boxrevive: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message gives the size and shape asked for
+        print(f"boxrevive: configuration error: out of memory ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     except (TruncationError, ContractError) as exc:
         print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)

@@ -33,7 +33,12 @@ cos and sin and four products per cell. Those rows are shared by up to B
 cells each, so each of their angles theta L carries its own rounding error
 back in (Dekker's TwoProduct). The pair -> key layout (keys, bincount slots and the
 +-w, sign(e) factors) depends only on the level range and is cached per
-(n_min, n_max); each call does only the two bincounts.
+(n_min, n_max); each call does only the two bincounts. The cos and sin(pi m L)
+table and its key columns cos and sin(kappa L) depend only on the grid and the
+level range and are cached per (nx, n_min, n_max), four entries of about 3 KB
+per near row at 29 levels (0.39 MB at nx = 256). So a call builds only what
+depends on the state (the key weights) or on p (the 2pL table, 1/(kappa + 2p)
+and the pole reach).
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -123,16 +128,16 @@ def _p_axis(p_max: float, n_p: int) -> np.ndarray:
 
 
 def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
-    keys, w_cos, w_sin = _key_weights(state.expansion)
-    m = np.arange(len(w_cos))
+    expansion = state.expansion
+    keys, w_cos, w_sin = _key_weights(expansion)
+    cos_l, sin_l, cos_k, sin_k = _x_tables(nx, expansion.n_min, expansion.n_max)
     x_axis = np.linspace(0.0, 1.0, nx)
     # Row i and its mirror nx - 1 - i share the reach L = x_i of the u
     # integral, so every x-only table is built on the near half alone.
     near, far = (nx + 1) // 2, nx // 2
     half = x_axis[:near]
-    cos_l, sin_l = _angle_table(half, math.pi * m)
     # At the mirror x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}.
-    parity = (1.0 - 2.0 * (m % 2))[:, None]
+    parity = (1.0 - 2.0 * (np.arange(len(w_cos)) % 2))[:, None]
     weights = (
         cos_l @ w_cos + sin_l @ w_sin,  # c_key(x) on the near rows
         cos_l[:far] @ (parity * w_cos) - sin_l[:far] @ (parity * w_sin),
@@ -143,8 +148,6 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     pole = np.abs(denom) < POLE_GAP
     inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
     cos_arg, sin_arg = _angle_table(half, 2.0 * p_axis)
-    sin_k = sin_l[:, np.abs(keys)] * np.sign(keys)
-    cos_k = cos_l[:, np.abs(keys)]
     # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
     rows, cols = np.nonzero(pole)
     reach = half * np.sinc(np.outer(denom[rows, cols], half) / math.pi)
@@ -163,7 +166,7 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
         "axis1": "position [L]",
         "axis2": "momentum [hbar/L]",
         "values": "Wigner quasiprobability [1/hbar]",
-        "captured_norm": state.expansion.captured_norm,
+        "captured_norm": expansion.captured_norm,
     }
     return WignerField(x_axis, p_axis, values, meta)
 
@@ -231,6 +234,23 @@ def _key_layout(n_min: int, n_max: int) -> tuple:
     for arr in layout:
         arr.setflags(write=False)
     return (*layout, (2 * n_max + 1, len(keys)))
+
+
+@functools.lru_cache(maxsize=4)
+def _x_tables(nx: int, n_min: int, n_max: int) -> tuple[np.ndarray, ...]:
+    """cos and sin(pi m L) on the ceil(nx/2) near rows, and their key columns, read-only.
+
+    The key columns are cos(kappa L) and sin(kappa L) for kappa = pi keys. An
+    entry holds 2 (2 n_max + 1) + 2 len(keys) doubles per near row: 3.0 KB at
+    levels 3..31 (125 keys), so 0.39 MB at nx = 256 and 0.77 MB at nx = 512.
+    """
+    keys = _key_layout(n_min, n_max)[0]
+    half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
+    cos_l, sin_l = _angle_table(half, math.pi * np.arange(2 * n_max + 1))
+    tables = (cos_l, sin_l, cos_l[:, np.abs(keys)], sin_l[:, np.abs(keys)] * np.sign(keys))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def wigner_overlap(a: WignerField, b: WignerField) -> float:

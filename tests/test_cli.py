@@ -160,6 +160,22 @@ class TestExitCodes:
         assert "2 p_max must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_allocation_failure_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        # numpy's text for `wigner --nx 100000000`, whose angle table block is 50 GB.
+        text = "Unable to allocate 50.0 GiB for an array with shape (2, 7072, 7071, 63)"
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(cli, "wigner", too_large)
+        out = tmp_path / "out"
+        rc = run_quiet(["wigner", "--nx", "8", "--np", "8", "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"configuration error: out of memory ({text})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("errors", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_marginal_error_is_a_breach(self, tmp_path, capsys, monkeypatch, errors):
         monkeypatch.setattr(cli, "marginal_errors", lambda field, state: errors)

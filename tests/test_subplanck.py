@@ -93,6 +93,21 @@ class TestSingleReport:
         report = subplanck_dimension(ref_packet, cfg0, 0.25, with_fringe=True)
         assert report.fringe_spacing == pytest.approx(math.pi / 50.0, rel=0.10)
 
+    def test_fringe_spacing_equal_at_the_two_copy_cat_instants(self, ref_packet):
+        # t = 1/4 at q2 = 0 and t_sr4/4 = 1/(4 q2) are both the two-copy
+        # momentum cat with the same copy weights, so one estimator reads one
+        # spacing. Its fringe is cos(2 p_bar x + phi), of spacing pi/|p_bar|;
+        # the estimator reads 7.198e-4 (relative) above that at all three
+        # instants, a bias of the estimator itself (one 256-point column,
+        # linearly interpolated crossings) whose source is still open.
+        spacings = [
+            subplanck_dimension(ref_packet, SystemConfig(q2), t, with_fringe=True).fringe_spacing
+            for q2, t in ((0.0, 0.25), (1e-5, 25000.0), (2e-6, 125000.0))
+        ]
+        assert max(spacings) == pytest.approx(min(spacings), rel=1e-12)
+        for spacing in spacings:
+            assert spacing == pytest.approx(math.pi / abs(ref_packet.p_bar), rel=1e-3)
+
     def test_given_expansion_decides_the_packet(self, ref_packet, cfg_weak):
         # Widths and the fringe window centre follow the expansion, not the
         # packet argument: other's forms and centre differ from ref_packet's.

@@ -34,6 +34,7 @@ from boxrevive.wigner import (
     _field,
     _key_layout,
     _key_weights,
+    _x_tables,
     default_p_max,
     fringe_column,
     marginal_errors,
@@ -478,3 +479,40 @@ class TestKernelTables:
         assert (info.hits, info.misses) == (2, 2)
         for arr in _key_layout(3, 31)[:4]:
             assert not arr.flags.writeable
+
+    def test_x_tables_are_cached_per_grid_and_level_range(self):
+        # Both packets reach n_max = 31, so only n_min tells their tables apart:
+        # levels 3..31 give every key in -62..62, levels 12..31 leave gaps.
+        # (Levels 1..31 would not do: their merged keys equal those of 3..31.)
+        cfg = SystemConfig(1e-5)
+        states = [
+            evolve(expand(packet, cfg), 0.3, cfg)
+            for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
+        ]
+        assert [(s.expansion.n_min, s.expansion.n_max) for s in states] == [(3, 31), (12, 31)]
+        assert [len(_key_layout(3, 31)[0]), len(_key_layout(12, 31)[0])] == [125, 117]
+        grids = (33, 256, 257, 512)
+
+        def cold(build):
+            _x_tables.cache_clear()
+            return build().values
+
+        reference = {
+            (nx, i): (cold(lambda: wigner(s, nx, nx)), cold(lambda: fringe_column(s)))
+            for nx in grids
+            for i, s in enumerate(states)
+        }
+        _x_tables.cache_clear()
+        # Each field's grid alternates with the fringe column's 256-point grid,
+        # and the level ranges alternate within each grid.
+        for nx in grids:
+            for i, s in enumerate(states):
+                for got, want in zip((wigner(s, nx, nx), fringe_column(s)), reference[nx, i]):
+                    assert got.values.tobytes() == want.tobytes()
+        info = _x_tables.cache_info()
+        # One miss per (grid, level range); the 256-point grid misses only twice.
+        assert (info.hits, info.misses) == (8, 8)
+        for arr in _x_tables(256, 3, 31):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
