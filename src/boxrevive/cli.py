@@ -11,7 +11,8 @@ resolved parameter including defaults, are always written. A run that fails
 makes no directory.
 
 Exit status 2 means a configuration error: a value that does not parse or
-fails its check, an output directory that cannot be created, or a
+fails its check, an output directory that cannot be created, an artifact
+that cannot be written (the files written before it stay), or a
 precondition the library checks during the run (packet and system
 parameters, the captured-norm bound of the expansion, grid sizes and time
 windows, momentum-grid coverage, the time and level domain of the phase
@@ -497,10 +498,20 @@ def run(argv) -> int:
         print(f"boxrevive: numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    for name, write in artifacts.items():
-        if name.rpartition(".")[2] in (*cfg.formats, "json"):  # json is not a --formats choice
-            write(cfg.output_dir / name)
-    write_manifest(cfg.output_dir / "manifest.txt", cfg, derived)
+    writes = {
+        name: write
+        for name, write in artifacts.items()
+        if name.rpartition(".")[2] in (*cfg.formats, "json")  # json is not a --formats choice
+    }
+    writes["manifest.txt"] = lambda path: write_manifest(path, cfg, derived)
+    for name, write in writes.items():
+        path = cfg.output_dir / name
+        try:
+            write(path)
+        except OSError as exc:
+            print(f"boxrevive: configuration error: cannot write {path} ({exc.strerror})",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -66,9 +66,11 @@ def field_csv_text(f: Field2D) -> str:
         ),
         "# first data row lists axis2 coordinates; first column lists axis1 coordinates",
     ]
-    lines.append("," + ",".join(FLOAT_FMT % v for v in f.axis2))
-    for t, row in zip(f.axis1, f.values):
-        lines.append(FLOAT_FMT % t + "," + ",".join(FLOAT_FMT % v for v in row))
+    # One % per line, applied to a tuple of Python floats.
+    cells = ",".join([FLOAT_FMT] * len(f.axis2))
+    lines.append("," + cells % tuple(f.axis2.tolist()))
+    row_fmt = FLOAT_FMT + "," + cells
+    lines += (row_fmt % tuple(r) for r in np.column_stack([f.axis1, f.values]).tolist())
     return "\n".join(lines) + "\n"
 
 

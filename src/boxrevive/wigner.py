@@ -20,7 +20,7 @@ pairs within POLE_GAP of a pole are summed directly as c L sinc. The field is
 exact to rounding and real by construction.
 
 Rows x and 1 - x of the grid x = linspace(0, 1, nx) share the reach L, and
-at x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}. So every x-only table
+at x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}. So every table over x
 (cos and sin(pi m L), the key weights, cos and sin(2pL), the pole reach) is
 built on the ceil(nx/2) near rows alone, with L = x there; the far rows take
 their key weights through the (-1)^m parity and sit at 1 - L, their grid x
@@ -36,9 +36,12 @@ back in (Dekker's TwoProduct). The pair -> key layout (keys, bincount slots and 
 (n_min, n_max); each call does only the two bincounts. The cos and sin(pi m L)
 table and its key columns cos and sin(kappa L) depend only on the grid and the
 level range and are cached per (nx, n_min, n_max), four entries of about 3 KB
-per near row at 29 levels (0.39 MB at nx = 256). So a call builds only what
-depends on the state (the key weights) or on p (the 2pL table, 1/(kappa + 2p)
-and the pole reach).
+per near row at 29 levels (0.39 MB at nx = 256). The p-side tables, cos and
+sin(2pL), 1/(kappa + 2p) and the pole terms, depend only on the grid, the p
+axis and the level range and are cached per (nx, p axis, n_min, n_max), four
+entries of about (nx + len(keys)) n_p doubles (0.76 MB at 256 x 256, 2.5 MB at
+512 x 512). So a call builds only its state's key weights and the two
+(rows x key) @ (key x p) products.
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -129,28 +132,20 @@ def _p_axis(p_max: float, n_p: int) -> np.ndarray:
 
 def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     expansion = state.expansion
-    keys, w_cos, w_sin = _key_weights(expansion)
+    w_cos, w_sin = _key_weights(expansion)
     cos_l, sin_l, cos_k, sin_k = _x_tables(nx, expansion.n_min, expansion.n_max)
-    x_axis = np.linspace(0.0, 1.0, nx)
+    cos_arg, sin_arg, inverse, rows, cols, reach = _p_tables(
+        nx, p_axis.tobytes(), expansion.n_min, expansion.n_max
+    )
     # Row i and its mirror nx - 1 - i share the reach L = x_i of the u
-    # integral, so every x-only table is built on the near half alone.
+    # integral, so every table over x is built on the near half alone.
     near, far = (nx + 1) // 2, nx // 2
-    half = x_axis[:near]
     # At the mirror x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}.
     parity = (1.0 - 2.0 * (np.arange(len(w_cos)) % 2))[:, None]
     weights = (
         cos_l @ w_cos + sin_l @ w_sin,  # c_key(x) on the near rows
         cos_l[:far] @ (parity * w_cos) - sin_l[:far] @ (parity * w_sin),
     )
-
-    kappa = math.pi * keys
-    denom = kappa[:, None] + 2.0 * p_axis
-    pole = np.abs(denom) < POLE_GAP
-    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
-    cos_arg, sin_arg = _angle_table(half, 2.0 * p_axis)
-    # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
-    rows, cols = np.nonzero(pole)
-    reach = half * np.sinc(np.outer(denom[rows, cols], half) / math.pi)
     values = np.empty((nx, len(p_axis)))
     # The far half is written bottom up; each half is its own pair of
     # (rows x key) @ (key x p) products, which keeps the temporaries at half size.
@@ -168,7 +163,7 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
         "values": "Wigner quasiprobability [1/hbar]",
         "captured_norm": expansion.captured_norm,
     }
-    return WignerField(x_axis, p_axis, values, meta)
+    return WignerField(np.linspace(0.0, 1.0, nx), p_axis, values, meta)
 
 
 def _angle_table(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +197,8 @@ def _angle_table(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.nda
     return table_cos, table_sin
 
 
-def _key_weights(expansion: EigenExpansion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct keys kappa / pi and the weight matrices of c_key(x).
+def _key_weights(expansion: EigenExpansion) -> tuple[np.ndarray, np.ndarray]:
+    """The weight matrices of c_key(x), keys in the order of _key_layout.
 
     Every pair c = conj(a_n) a_m adds w Re(c e^{i pi e x}) to key k for
     (k, e, w) in (s, d, 1), (-s, -d, 1) and (d, s, -2). So
@@ -211,13 +206,13 @@ def _key_weights(expansion: EigenExpansion) -> tuple[np.ndarray, np.ndarray, np.
     over 0 <= e <= 2 n_max, two fixed real matrices. Only the two bincounts
     depend on the coefficients; the layout is cached per level range.
     """
-    keys, slot, cos_factor, sin_factor, shape = _key_layout(expansion.n_min, expansion.n_max)
+    _, slot, cos_factor, sin_factor, shape = _key_layout(expansion.n_min, expansion.n_max)
     a = expansion.coefficients
     c = np.tile((np.conj(a)[:, None] * a[None, :]).ravel(), 3)
     size = shape[0] * shape[1]
     w_cos = np.bincount(slot, cos_factor * c.real, size).reshape(shape)
     w_sin = np.bincount(slot, sin_factor * c.imag, size).reshape(shape)
-    return keys, w_cos, w_sin
+    return w_cos, w_sin
 
 
 @functools.lru_cache(maxsize=8)
@@ -248,6 +243,32 @@ def _x_tables(nx: int, n_min: int, n_max: int) -> tuple[np.ndarray, ...]:
     half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
     cos_l, sin_l = _angle_table(half, math.pi * np.arange(2 * n_max + 1))
     tables = (cos_l, sin_l, cos_l[:, np.abs(keys)], sin_l[:, np.abs(keys)] * np.sign(keys))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=4)
+def _p_tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple[np.ndarray, ...]:
+    """cos and sin(2pL) on the near rows, 1/(kappa + 2p) and the pole terms, read-only.
+
+    p_bytes is the p axis as float64 bytes, so a full field and the one-column
+    fringe_column share this function. The pole terms are the (key, p) indices
+    within POLE_GAP of kappa + 2p = 0 and their reach L sinc((kappa + 2p) L)
+    on the near rows. An entry holds about (nx + len(keys)) n_p doubles:
+    0.76 MB at 256 x 256 and 2.5 MB at 512 x 512 for levels 3..31 (125 keys).
+    """
+    p_axis = np.frombuffer(p_bytes)
+    kappa = math.pi * _key_layout(n_min, n_max)[0]
+    half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
+    denom = kappa[:, None] + 2.0 * p_axis
+    pole = np.abs(denom) < POLE_GAP
+    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
+    cos_arg, sin_arg = _angle_table(half, 2.0 * p_axis)
+    # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
+    rows, cols = np.nonzero(pole)
+    reach = half * np.sinc(np.outer(denom[rows, cols], half) / math.pi)
+    tables = (cos_arg, sin_arg, inverse, rows, cols, reach)
     for arr in tables:
         arr.setflags(write=False)
     return tables

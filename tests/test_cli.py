@@ -262,6 +262,32 @@ class TestExitCodes:
         assert f"output directory {taken}" in err
         assert "Traceback" not in err
 
+    # A directory at an artifact's name makes its write fail whoever runs the
+    # suite; file permissions would not stop root.
+    @pytest.mark.parametrize("argv, blocked, written", [
+        (["spectrum", "--nmax", "8"], "manifest.txt", ["spectrum.csv", "timescales.csv"]),
+        (["wigner", "--nx", "32", "--np", "64"], "wigner.csv", []),
+    ])
+    def test_artifact_that_cannot_be_written_is_exit_two(
+        self, tmp_path, capsys, argv, blocked, written
+    ):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        rc = run_quiet([*argv, "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"configuration error: cannot write {out / blocked} (Is a directory)" in err
+        # The artifacts before the failed one stay; nothing after it is written.
+        assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *written])
+
+    def test_artifact_that_cannot_be_written_has_no_traceback(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "manifest.txt").mkdir(parents=True)
+        rc, err = run_process(["spectrum", "--nmax", "8", "--outdir", str(out)])
+        assert rc == 2
+        assert f"cannot write {out / 'manifest.txt'}" in err
+        assert "Traceback" not in err
+
     def test_super_revival_without_positive_q2_is_exit_two(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = run_quiet(

@@ -62,6 +62,25 @@ class TestCsv:
     def test_byte_stability(self, small_field):
         assert field_csv_text(small_field) == field_csv_text(small_field)
 
+    def test_cells_match_per_cell_formatting(self):
+        # Signed zero, the smallest subnormal, exponent switches of %.12g and
+        # a value that rounds in the 12th digit.
+        awkward = [-0.0, 5e-324, 1e21, 123456789012.5, -1.5e-7, 0.1, -1e-300, 1e16, 2.5]
+        axis1 = np.array(awkward[:4])
+        axis2 = np.array(awkward[4:])
+        values = np.array([np.roll(awkward, k)[: len(axis2)] for k in range(len(axis1))])
+        f = Field2D(axis1, axis2, values, {"axis1": "a", "axis2": "b", "values": "c"})
+        expected = [
+            "# axis1 (rows): a; axis2 (columns): b; values: c",
+            "# first data row lists axis2 coordinates; first column lists axis1 coordinates",
+            "," + ",".join("%.12g" % float(v) for v in axis2),
+        ]
+        for t, row in zip(axis1, values):
+            expected.append(",".join("%.12g" % float(v) for v in [t, *row]))
+        assert field_csv_text(f) == "\n".join(expected) + "\n"
+        row = "-0,-0,4.94065645841e-324,1e+21,123456789012,-1.5e-07"
+        assert field_csv_text(f).splitlines()[3] == row
+
 
 class TestPgm:
     def test_density_export_dimensions(self, small_field, tmp_path):

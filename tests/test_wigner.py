@@ -34,6 +34,7 @@ from boxrevive.wigner import (
     _field,
     _key_layout,
     _key_weights,
+    _p_tables,
     _x_tables,
     default_p_max,
     fringe_column,
@@ -393,6 +394,13 @@ class TestClosedForm:
                 fringe_column(state)
 
 
+def cold(build):
+    """build().values with both Wigner table caches emptied first."""
+    _x_tables.cache_clear()
+    _p_tables.cache_clear()
+    return build().values
+
+
 def uncached_key_weights(expansion):
     """The key weights of `_key_weights`, with the pair -> key layout rebuilt here."""
     a = expansion.coefficients
@@ -472,11 +480,14 @@ class TestKernelTables:
         for expansion in expansions * 2:  # interleaved: miss, miss, hit, hit
             state = evolve(expansion, 0.3, cfg)
             cached = _key_weights(state.expansion)
-            for got, want in zip(cached, uncached_key_weights(state.expansion)):
+            for got, want in zip(cached, uncached_key_weights(state.expansion)[1:]):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
         info = _key_layout.cache_info()
         assert (info.hits, info.misses) == (2, 2)
+        for e in expansions:
+            keys = _key_layout(e.n_min, e.n_max)[0]
+            assert keys.tobytes() == uncached_key_weights(e)[0].tobytes()
         for arr in _key_layout(3, 31)[:4]:
             assert not arr.flags.writeable
 
@@ -492,11 +503,6 @@ class TestKernelTables:
         assert [(s.expansion.n_min, s.expansion.n_max) for s in states] == [(3, 31), (12, 31)]
         assert [len(_key_layout(3, 31)[0]), len(_key_layout(12, 31)[0])] == [125, 117]
         grids = (33, 256, 257, 512)
-
-        def cold(build):
-            _x_tables.cache_clear()
-            return build().values
-
         reference = {
             (nx, i): (cold(lambda: wigner(s, nx, nx)), cold(lambda: fringe_column(s)))
             for nx in grids
@@ -516,3 +522,34 @@ class TestKernelTables:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.0
+
+    def test_p_tables_are_cached_per_grid_p_axis_and_level_range(self):
+        cfg = SystemConfig(1e-5)
+        states = [
+            evolve(expand(packet, cfg), 0.3, cfg)
+            for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
+        ]
+        assert [s.expansion.n_min for s in states] == [3, 12]
+        builds = (
+            lambda s: wigner(s, 256, 256),
+            # Same nx and level range, another p axis; both states share this
+            # p axis, so only the level range tells their entries apart.
+            lambda s: wigner(s, 256, 256, p_max=150.0),
+            fringe_column,
+            lambda s: wigner(s, 257, 257),
+        )
+        reference = [[cold(lambda: build(s)) for build in builds] for s in states]
+        _x_tables.cache_clear()
+        _p_tables.cache_clear()
+        # Each state's four p axes fill the four entries, then hit on the repeat.
+        for s, want in zip(states, reference):
+            for _ in range(2):
+                for build, values in zip(builds, want):
+                    assert build(s).values.tobytes() == values.tobytes()
+        info = _p_tables.cache_info()
+        assert (info.hits, info.misses) == (8, 8)
+        p_axis = np.linspace(-150.0, 150.0, 256)
+        for arr in _p_tables(256, p_axis.tobytes(), 12, 31):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
