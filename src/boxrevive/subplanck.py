@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import trapezoid_weights
-from .spectrum import SystemConfig, _mode_matrix
+from .spectrum import SystemConfig, _check_quartic_clock, _mode_matrix
 from .wavepacket import (
     DEFAULT_X_POINTS,
     EigenExpansion,
     PacketSpec,
-    _check_coverage,
     _warn_past_turnover,
     default_momentum_grid,
     evolve,
@@ -104,7 +103,6 @@ def _moment_forms(packet: PacketSpec, n_min: int, n_max: int) -> tuple[np.ndarra
     n_values = np.arange(n_min, n_max + 1)
     x_grid = np.linspace(0.0, 1.0, DEFAULT_X_POINTS)
     p_grid = default_momentum_grid(packet)
-    _check_coverage(packet, p_grid)
     x_modes = _mode_matrix(n_values, x_grid)
     p_modes = fourier_amplitude(np.eye(len(n_values)), n_values, p_grid)
     return _trapezoid_forms(x_grid, x_modes), _trapezoid_forms(p_grid, p_modes)
@@ -135,6 +133,7 @@ def evaluation_time(q2: float, mode: str) -> float:
         return SHORT_TIME
     if q2 <= 0.0:
         raise ValueError("super_revival mode requires q2 > 0")
+    _check_quartic_clock(q2)
     return 1.0 / (4.0 * q2)
 
 

@@ -31,17 +31,14 @@ cos and sin(2pL), come from angle addition: with B = isqrt(len(L)), row
 aB + b is e^{i theta L[aB]} e^{i theta L[b]}, about 2 sqrt(len(L)) rows of
 cos and sin and four products per cell. Those rows are shared by up to B
 cells each, so each of their angles theta L carries its own rounding error
-back in (Dekker's TwoProduct). The pair -> key layout (keys, bincount slots and the
-+-w, sign(e) factors) depends only on the level range and is cached per
-(n_min, n_max); each call does only the two bincounts. The cos and sin(pi m L)
-table and its key columns cos and sin(kappa L) depend only on the grid and the
-level range and are cached per (nx, n_min, n_max), four entries of about 3 KB
-per near row at 29 levels (0.39 MB at nx = 256). The p-side tables, cos and
-sin(2pL), 1/(kappa + 2p) and the pole terms, depend only on the grid, the p
-axis and the level range and are cached per (nx, p axis, n_min, n_max), four
-entries of about (nx + len(keys)) n_p doubles (0.76 MB at 256 x 256, 2.5 MB at
-512 x 512). So a call builds only its state's key weights and the two
-(rows x key) @ (key x p) products.
+back in (Dekker's TwoProduct). Everything a field needs that no state
+changes is one read-only cache entry per (nx, p axis, n_min, n_max), at most
+four entries: the pair -> key layout (bincount slots, the +-w, sign(e)
+factors), cos and sin(pi m L) with its key columns cos and sin(kappa L), cos
+and sin(2pL), 1/(kappa + 2p) and the pole terms. At levels 3..31 (125 keys) an entry holds
+1.2 MB at 256 x 256, 3.4 MB at 512 x 512 and 0.45 MB for the one-column
+fringe_column. So a call does one lookup, its state's two bincounts and the
+two (rows x key) @ (key x p) products.
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -57,7 +54,6 @@ import numpy as np
 
 from .fields import Field2D, trapezoid_2d, trapezoid_weights
 from .wavepacket import (
-    EigenExpansion,
     EvolvedState,
     _check_reach,
     _two_product,
@@ -132,11 +128,10 @@ def _p_axis(p_max: float, n_p: int) -> np.ndarray:
 
 def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     expansion = state.expansion
-    w_cos, w_sin = _key_weights(expansion)
-    cos_l, sin_l, cos_k, sin_k = _x_tables(nx, expansion.n_min, expansion.n_max)
-    cos_arg, sin_arg, inverse, rows, cols, reach = _p_tables(
-        nx, p_axis.tobytes(), expansion.n_min, expansion.n_max
-    )
+    layout, x_tables, p_tables = _tables(nx, p_axis.tobytes(), expansion.n_min, expansion.n_max)
+    w_cos, w_sin = _key_weights(expansion.coefficients, layout)
+    cos_l, sin_l, cos_k, sin_k = x_tables
+    cos_arg, sin_arg, inverse, rows, cols, reach = p_tables
     # Row i and its mirror nx - 1 - i share the reach L = x_i of the u
     # integral, so every table over x is built on the near half alone.
     near, far = (nx + 1) // 2, nx // 2
@@ -197,81 +192,61 @@ def _angle_table(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.nda
     return table_cos, table_sin
 
 
-def _key_weights(expansion: EigenExpansion) -> tuple[np.ndarray, np.ndarray]:
-    """The weight matrices of c_key(x), keys in the order of _key_layout.
+def _key_weights(coefficients: np.ndarray, layout: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The weight matrices of c_key(x) for these coefficients, on a layout of `_tables`.
 
     Every pair c = conj(a_n) a_m adds w Re(c e^{i pi e x}) to key k for
     (k, e, w) in (s, d, 1), (-s, -d, 1) and (d, s, -2). So
     c_key(x) = sum_e cos(pi e x) w_cos[e, key] + sin(pi e x) w_sin[e, key]
-    over 0 <= e <= 2 n_max, two fixed real matrices. Only the two bincounts
-    depend on the coefficients; the layout is cached per level range.
+    over 0 <= e <= 2 n_max, two fixed real matrices. The layout holds each
+    (pair, key kind)'s bincount slot, its factors w and -w sign(e), and the
+    matrix shape; only the two bincounts depend on the coefficients.
     """
-    _, slot, cos_factor, sin_factor, shape = _key_layout(expansion.n_min, expansion.n_max)
-    a = expansion.coefficients
-    c = np.tile((np.conj(a)[:, None] * a[None, :]).ravel(), 3)
+    slot, cos_factor, sin_factor, shape = layout
+    c = np.tile((np.conj(coefficients)[:, None] * coefficients[None, :]).ravel(), 3)
     size = shape[0] * shape[1]
     w_cos = np.bincount(slot, cos_factor * c.real, size).reshape(shape)
     w_sin = np.bincount(slot, sin_factor * c.imag, size).reshape(shape)
     return w_cos, w_sin
 
 
-@functools.lru_cache(maxsize=8)
-def _key_layout(n_min: int, n_max: int) -> tuple:
-    """Keys, the bincount slot of each (pair, key kind) and its cos and sin factors, read-only."""
+@functools.lru_cache(maxsize=4)
+def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
+    """Everything a field needs that no state changes: (layout, x tables, p tables), read-only.
+
+    p_bytes is the p axis as float64 bytes, so a full field and the one-column
+    fringe_column share this function. The layout is that of `_key_weights`.
+    The x tables are cos and sin(pi m L) on the ceil(nx/2) near rows and
+    their key columns cos(kappa L) and sin(kappa L). The p tables are cos and
+    sin(2pL) on the near rows, 1/(kappa + 2p), and the pole terms: the
+    (key, p) indices within POLE_GAP of kappa + 2p = 0 and their reach
+    L sinc((kappa + 2p) L) on the near rows.
+    """
     n = np.arange(n_min, n_max + 1)
     s = np.add.outer(n, n).ravel()
     d = np.subtract.outer(n, n).ravel()
     keys, col = np.unique(np.concatenate([s, -s, d]), return_inverse=True)
     e = np.concatenate([d, -d, s])
     w = np.repeat([1.0, 1.0, -2.0], len(s))
-    slot = np.abs(e) * len(keys) + col
-    layout = (keys, slot, w, -w * np.sign(e))
-    for arr in layout:
-        arr.setflags(write=False)
-    return (*layout, (2 * n_max + 1, len(keys)))
-
-
-@functools.lru_cache(maxsize=4)
-def _x_tables(nx: int, n_min: int, n_max: int) -> tuple[np.ndarray, ...]:
-    """cos and sin(pi m L) on the ceil(nx/2) near rows, and their key columns, read-only.
-
-    The key columns are cos(kappa L) and sin(kappa L) for kappa = pi keys. An
-    entry holds 2 (2 n_max + 1) + 2 len(keys) doubles per near row: 3.0 KB at
-    levels 3..31 (125 keys), so 0.39 MB at nx = 256 and 0.77 MB at nx = 512.
-    """
-    keys = _key_layout(n_min, n_max)[0]
     half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
     cos_l, sin_l = _angle_table(half, math.pi * np.arange(2 * n_max + 1))
-    tables = (cos_l, sin_l, cos_l[:, np.abs(keys)], sin_l[:, np.abs(keys)] * np.sign(keys))
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
-
-
-@functools.lru_cache(maxsize=4)
-def _p_tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple[np.ndarray, ...]:
-    """cos and sin(2pL) on the near rows, 1/(kappa + 2p) and the pole terms, read-only.
-
-    p_bytes is the p axis as float64 bytes, so a full field and the one-column
-    fringe_column share this function. The pole terms are the (key, p) indices
-    within POLE_GAP of kappa + 2p = 0 and their reach L sinc((kappa + 2p) L)
-    on the near rows. An entry holds about (nx + len(keys)) n_p doubles:
-    0.76 MB at 256 x 256 and 2.5 MB at 512 x 512 for levels 3..31 (125 keys).
-    """
     p_axis = np.frombuffer(p_bytes)
-    kappa = math.pi * _key_layout(n_min, n_max)[0]
-    half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
-    denom = kappa[:, None] + 2.0 * p_axis
+    denom = math.pi * keys[:, None] + 2.0 * p_axis
     pole = np.abs(denom) < POLE_GAP
-    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
-    cos_arg, sin_arg = _angle_table(half, 2.0 * p_axis)
     # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
     rows, cols = np.nonzero(pole)
-    reach = half * np.sinc(np.outer(denom[rows, cols], half) / math.pi)
-    tables = (cos_arg, sin_arg, inverse, rows, cols, reach)
-    for arr in tables:
+    layout = (np.abs(e) * len(keys) + col, w, -w * np.sign(e))
+    x_tables = (cos_l, sin_l, cos_l[:, np.abs(keys)], sin_l[:, np.abs(keys)] * np.sign(keys))
+    p_tables = (
+        *_angle_table(half, 2.0 * p_axis),
+        np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole),
+        rows,
+        cols,
+        half * np.sinc(np.outer(denom[rows, cols], half) / math.pi),
+    )
+    for arr in (*layout, *x_tables, *p_tables):
         arr.setflags(write=False)
-    return tables
+    return (*layout, (2 * n_max + 1, len(keys))), x_tables, p_tables
 
 
 def wigner_overlap(a: WignerField, b: WignerField) -> float:

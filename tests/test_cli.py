@@ -321,6 +321,7 @@ class TestExitCodes:
         "spectrum --q2 1e-310",
         "revivals --q2 3e-309 --smax 2",
         "revivals --q2 1e-310 --smax 2",
+        "subplanck --q2-list 1e-310 --mode super_revival",
     ])
     def test_subnormal_q2_overflowing_t_sr4_is_exit_two(self, tmp_path, command):
         # At or below 1/DBL_MAX ~ 5.56e-309, t_sr4 = 1/q2 is not a finite double.

@@ -1,5 +1,6 @@
 """Lint: every imported name in the program, scripts, tests and benchmark is
-read somewhere, and no public name of the package lives on unit tests alone.
+read somewhere, no public name of the package lives on unit tests alone, and
+no private module-level name of the package lives on tests at all.
 
 No linter is a dependency, so this test does the unused-import check with `ast`.
 `__init__.py` is skipped: its imports are the package's public names.
@@ -64,8 +65,8 @@ USERS = sorted(
 )
 
 
-def public_definitions(source: str) -> dict[str, tuple[int, int]]:
-    """Module-level public names (functions, classes, assignments) -> their line span."""
+def module_definitions(source: str, private: bool = False) -> dict[str, tuple[int, int]]:
+    """Module-level public (or, if private, `_name`) functions, classes, assignments -> line span."""
     spans = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -76,7 +77,7 @@ def public_definitions(source: str) -> dict[str, tuple[int, int]]:
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
+            if name.startswith("_") == private:
                 spans[name] = (node.lineno, node.end_lineno)
     return spans
 
@@ -85,7 +86,7 @@ def test_every_public_name_is_used_beyond_unit_tests():
     sources = {path: path.read_text().splitlines() for path in USERS}
     unused = []
     for path in (p for p in USERS if p.parent.name == "boxrevive"):
-        for name, (first, last) in public_definitions("\n".join(sources[path])).items():
+        for name, (first, last) in module_definitions("\n".join(sources[path])).items():
             # Every user file, with the definition's own lines cut from its module.
             text = "\n".join(
                 "\n".join(lines[: first - 1] + lines[last:] if user == path else lines)
@@ -94,3 +95,50 @@ def test_every_public_name_is_used_beyond_unit_tests():
             if not re.search(rf"\b{re.escape(name)}\b", text):
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+
+def names_read(tree: ast.AST, skip: tuple[int, int] = (0, 0)) -> set[str]:
+    """Names that tree loads, reads as an attribute or imports, outside the lines skip."""
+    read = set()
+    for node in ast.walk(tree):
+        if skip[0] <= getattr(node, "lineno", 0) <= skip[1]:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level _name that no module reads beyond its definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    unread = []
+    for module, source in sources.items():
+        for name, span in module_definitions(source, private=True).items():
+            if not any(
+                name in names_read(tree, span if user == module else (0, 0))
+                for user, tree in trees.items()
+            ):
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+@pytest.mark.parametrize("sources, expected", [
+    ({"m": "def _f():\n    return _f()\n"}, ["m._f"]),  # recursion is no reader
+    ({"m": "_A = 1\n# _A\nB = '_A'\n"}, ["m._A"]),  # nor are comments and strings
+    ({"m": "def _f(): pass\nx = [_f]\n"}, []),
+    ({"m": "def _f(): pass\n", "n": "from .m import _f\n"}, []),
+    ({"m": "_A = 1\n", "n": "from . import m\nm._A\n"}, []),
+])
+def test_unread_private_names(sources, expected):
+    assert unread_private_names(sources) == expected
+
+
+def test_every_private_name_is_read_by_the_program():
+    # A private helper that only tests call is dead code; tests do not keep it.
+    program = [path for path in MODULES if path.parent.name == "boxrevive"]
+    assert unread_private_names({path.stem: path.read_text() for path in program}) == []

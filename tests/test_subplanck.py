@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxrevive import (
-    CoverageError,
     PacketSpec,
     PerturbativeValidityWarning,
     SystemConfig,
@@ -24,7 +23,6 @@ from boxrevive import (
     subplanck_dimension,
     wigner,
 )
-from boxrevive import subplanck
 from boxrevive.subplanck import SHORT_TIME, _moment_forms, evaluation_time
 from boxrevive.wavepacket import DEFAULT_X_POINTS
 from boxrevive.wigner import fringe_column
@@ -124,6 +122,14 @@ class TestEvaluationTime:
 
     def test_super_revival_quarter(self):
         assert evaluation_time(1e-5, "super_revival") == pytest.approx(25000.0, rel=1e-9)
+
+    def test_super_revival_rejects_q2_whose_super_revival_time_overflows(self):
+        # 1/q2 is finite down to the double just above 2^-1024 = 1/DBL_MAX rounded.
+        smallest = math.nextafter(2.0**-1024, 1.0)
+        assert math.isfinite(evaluation_time(smallest, "super_revival"))
+        for q2 in (2.0**-1024, 3e-309, 1e-310, 5e-324):
+            with pytest.raises(ValueError, match="t_sr4 = 1/q_squared overflows"):
+                evaluation_time(q2, "super_revival")
 
     def test_super_revival_needs_positive_strength(self):
         with pytest.raises(ValueError):
@@ -229,13 +235,3 @@ class TestMomentForms:
             assert max(width_errors(packet, cfg, 0.25)) <= 1e-12
         info = _moment_forms.cache_info()
         assert (info.misses, info.hits) == (3, 3)
-
-    @pytest.mark.parametrize("grid, message", [
-        (np.linspace(-60.0, 160.0, 64), "symmetric"),
-        (np.linspace(-60.0, 60.0, 64), r"\|p_bar\| \+ 6/delta_x"),
-    ], ids=["asymmetric", "short"])
-    def test_forms_check_momentum_coverage(self, ref_packet, cfg0, monkeypatch, grid, message):
-        monkeypatch.setattr(subplanck, "default_momentum_grid", lambda packet: grid)
-        _moment_forms.cache_clear()
-        with pytest.raises(CoverageError, match=message):
-            subplanck_dimension(ref_packet, cfg0, 0.25)

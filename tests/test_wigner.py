@@ -32,10 +32,8 @@ from boxrevive.wigner import (
     WignerField,
     _angle_table,
     _field,
-    _key_layout,
     _key_weights,
-    _p_tables,
-    _x_tables,
+    _tables,
     default_p_max,
     fringe_column,
     marginal_errors,
@@ -395,9 +393,8 @@ class TestClosedForm:
 
 
 def cold(build):
-    """build().values with both Wigner table caches emptied first."""
-    _x_tables.cache_clear()
-    _p_tables.cache_clear()
+    """build().values with the Wigner table cache emptied first."""
+    _tables.cache_clear()
     return build().values
 
 
@@ -472,26 +469,7 @@ class TestKernelTables:
                 assert abs(cos[i, j] - float(mpmath.cos(angle))) <= self.EXACT_ULPS * np.finfo(float).eps
                 assert abs(sin[i, j] - float(mpmath.sin(angle))) <= self.EXACT_ULPS * np.finfo(float).eps
 
-    def test_key_layout_is_cached_per_level_range(self):
-        cfg = SystemConfig(0.0, truncation_epsilon=1e-6)
-        expansions = [expand(PacketSpec(0.5, 0.1, p_bar), cfg) for p_bar in (50.0, 52.0)]
-        assert [(e.n_min, e.n_max) for e in expansions] == [(3, 31), (4, 32)]
-        _key_layout.cache_clear()
-        for expansion in expansions * 2:  # interleaved: miss, miss, hit, hit
-            state = evolve(expansion, 0.3, cfg)
-            cached = _key_weights(state.expansion)
-            for got, want in zip(cached, uncached_key_weights(state.expansion)[1:]):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-        info = _key_layout.cache_info()
-        assert (info.hits, info.misses) == (2, 2)
-        for e in expansions:
-            keys = _key_layout(e.n_min, e.n_max)[0]
-            assert keys.tobytes() == uncached_key_weights(e)[0].tobytes()
-        for arr in _key_layout(3, 31)[:4]:
-            assert not arr.flags.writeable
-
-    def test_x_tables_are_cached_per_grid_and_level_range(self):
+    def test_tables_are_cached_per_grid_p_axis_and_level_range(self):
         # Both packets reach n_max = 31, so only n_min tells their tables apart:
         # levels 3..31 give every key in -62..62, levels 12..31 leave gaps.
         # (Levels 1..31 would not do: their merged keys equal those of 3..31.)
@@ -501,55 +479,29 @@ class TestKernelTables:
             for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
         ]
         assert [(s.expansion.n_min, s.expansion.n_max) for s in states] == [(3, 31), (12, 31)]
-        assert [len(_key_layout(3, 31)[0]), len(_key_layout(12, 31)[0])] == [125, 117]
-        grids = (33, 256, 257, 512)
-        reference = {
-            (nx, i): (cold(lambda: wigner(s, nx, nx)), cold(lambda: fringe_column(s)))
-            for nx in grids
-            for i, s in enumerate(states)
-        }
-        _x_tables.cache_clear()
-        # Each field's grid alternates with the fringe column's 256-point grid,
-        # and the level ranges alternate within each grid.
-        for nx in grids:
-            for i, s in enumerate(states):
-                for got, want in zip((wigner(s, nx, nx), fringe_column(s)), reference[nx, i]):
-                    assert got.values.tobytes() == want.tobytes()
-        info = _x_tables.cache_info()
-        # One miss per (grid, level range); the 256-point grid misses only twice.
-        assert (info.hits, info.misses) == (8, 8)
-        for arr in _x_tables(256, 3, 31):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 0.0
-
-    def test_p_tables_are_cached_per_grid_p_axis_and_level_range(self):
-        cfg = SystemConfig(1e-5)
-        states = [
-            evolve(expand(packet, cfg), 0.3, cfg)
-            for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
-        ]
-        assert [s.expansion.n_min for s in states] == [3, 12]
         builds = (
-            lambda s: wigner(s, 256, 256),
-            # Same nx and level range, another p axis; both states share this
-            # p axis, so only the level range tells their entries apart.
+            # One p axis, four x grids: only nx tells these entries apart.
+            *(lambda s, nx=nx: wigner(s, nx, 256) for nx in (33, 256, 257, 512)),
+            # The 256-point x grid with two more p axes.
             lambda s: wigner(s, 256, 256, p_max=150.0),
             fringe_column,
-            lambda s: wigner(s, 257, 257),
         )
-        reference = [[cold(lambda: build(s)) for build in builds] for s in states]
-        _x_tables.cache_clear()
-        _p_tables.cache_clear()
-        # Each state's four p axes fill the four entries, then hit on the repeat.
-        for s, want in zip(states, reference):
-            for _ in range(2):
-                for build, values in zip(builds, want):
-                    assert build(s).values.tobytes() == values.tobytes()
-        info = _p_tables.cache_info()
-        assert (info.hits, info.misses) == (8, 8)
+        reference = [[cold(lambda: build(s)) for s in states] for build in builds]
+        _tables.cache_clear()
+        # Each build misses once per level range, then hits on the repeat.
+        for build, want in zip(builds, reference):
+            for s, values in zip(states * 2, want * 2):
+                assert build(s).values.tobytes() == values.tobytes()
+        info = _tables.cache_info()
+        assert (info.hits, info.misses) == (2 * len(builds), 2 * len(builds))
         p_axis = np.linspace(-150.0, 150.0, 256)
-        for arr in _p_tables(256, p_axis.tobytes(), 12, 31):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
+        for s in states:
+            e = s.expansion
+            layout, x_tables, p_tables = _tables(256, p_axis.tobytes(), e.n_min, e.n_max)
+            for got, want in zip(_key_weights(e.coefficients, layout), uncached_key_weights(e)[1:]):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for arr in (*layout[:-1], *x_tables, *p_tables):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
