@@ -398,6 +398,17 @@ def cold(build):
     return build().values
 
 
+def two_level_range_states():
+    """Two states at t = 0.3 whose expansions span levels 3..31 and 12..31."""
+    cfg = SystemConfig(1e-5)
+    states = [
+        evolve(expand(packet, cfg), 0.3, cfg)
+        for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
+    ]
+    assert [(s.expansion.n_min, s.expansion.n_max) for s in states] == [(3, 31), (12, 31)]
+    return states
+
+
 def uncached_key_weights(expansion):
     """The key weights of `_key_weights`, with the pair -> key layout rebuilt here."""
     a = expansion.coefficients
@@ -417,7 +428,7 @@ def uncached_key_weights(expansion):
 
 
 class TestKernelTables:
-    """The trig tables by angle addition and the cached pair -> key layout."""
+    """The trig tables by angle addition and the cached per-grid table set."""
 
     # Measured worst |table - np.cos/np.sin(np.outer)| is 1.5 eps max(1, max|angle|)
     # over 20,000 random near-half axes and frequencies; most of it is the
@@ -469,39 +480,79 @@ class TestKernelTables:
                 assert abs(cos[i, j] - float(mpmath.cos(angle))) <= self.EXACT_ULPS * np.finfo(float).eps
                 assert abs(sin[i, j] - float(mpmath.sin(angle))) <= self.EXACT_ULPS * np.finfo(float).eps
 
-    def test_tables_are_cached_per_grid_p_axis_and_level_range(self):
+    def test_key_layout_is_cached_per_level_range(self):
+        cfg = SystemConfig(0.0, truncation_epsilon=1e-6)
+        expansions = [expand(PacketSpec(0.5, 0.1, p_bar), cfg) for p_bar in (50.0, 52.0)]
+        assert [(e.n_min, e.n_max) for e in expansions] == [(3, 31), (4, 32)]
+        p_bytes = np.linspace(-150.0, 150.0, 256).tobytes()
+        _tables.cache_clear()
+        for expansion in expansions * 2:  # interleaved: miss, miss, hit, hit
+            e = evolve(expansion, 0.3, cfg).expansion
+            layout, (cos_l, sin_l, cos_k, sin_k), _ = _tables(256, p_bytes, e.n_min, e.n_max)
+            keys, *want = uncached_key_weights(e)
+            for got, w in zip(_key_weights(e.coefficients, layout), want):
+                assert got.dtype == w.dtype and got.shape == w.shape
+                assert got.tobytes() == w.tobytes()
+            # The key columns are those of the keys rebuilt here.
+            assert cos_k.tobytes() == cos_l[:, np.abs(keys)].tobytes()
+            assert sin_k.tobytes() == (sin_l[:, np.abs(keys)] * np.sign(keys)).tobytes()
+        info = _tables.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+        for arr in _tables(256, p_bytes, 3, 31)[0][:-1]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_x_tables_are_cached_per_grid_and_level_range(self):
         # Both packets reach n_max = 31, so only n_min tells their tables apart:
         # levels 3..31 give every key in -62..62, levels 12..31 leave gaps.
         # (Levels 1..31 would not do: their merged keys equal those of 3..31.)
-        cfg = SystemConfig(1e-5)
-        states = [
-            evolve(expand(packet, cfg), 0.3, cfg)
-            for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
-        ]
-        assert [(s.expansion.n_min, s.expansion.n_max) for s in states] == [(3, 31), (12, 31)]
+        states = two_level_range_states()
+        grids = (33, 256, 257, 512)
+        p_axis = np.linspace(-150.0, 150.0, 256)
+
+        def build(s, nx):
+            # One p axis for every grid and state: only nx and the level range
+            # tell these entries apart.
+            return wigner(s, nx, 256, p_max=150.0)
+
+        reference = {
+            (nx, i): cold(lambda: build(s, nx)) for nx in grids for i, s in enumerate(states)
+        }
+        _tables.cache_clear()
+        # The level ranges alternate within each grid: each (grid, level range)
+        # misses once, then hits on the repeat.
+        for nx in grids:
+            for i, s in enumerate(states * 2):
+                assert build(s, nx).values.tobytes() == reference[nx, i % 2].tobytes()
+        info = _tables.cache_info()
+        assert (info.hits, info.misses) == (8, 8)
+        for arr in _tables(256, p_axis.tobytes(), 3, 31)[1]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+
+    def test_p_tables_are_cached_per_grid_p_axis_and_level_range(self):
+        states = two_level_range_states()
         builds = (
-            # One p axis, four x grids: only nx tells these entries apart.
-            *(lambda s, nx=nx: wigner(s, nx, 256) for nx in (33, 256, 257, 512)),
-            # The 256-point x grid with two more p axes.
+            lambda s: wigner(s, 256, 256),
+            # Same nx and level range, another p axis; both states share this
+            # p axis, so only the level range tells their entries apart.
             lambda s: wigner(s, 256, 256, p_max=150.0),
             fringe_column,
+            lambda s: wigner(s, 257, 257),
         )
-        reference = [[cold(lambda: build(s)) for s in states] for build in builds]
+        reference = [[cold(lambda: build(s)) for build in builds] for s in states]
         _tables.cache_clear()
-        # Each build misses once per level range, then hits on the repeat.
-        for build, want in zip(builds, reference):
-            for s, values in zip(states * 2, want * 2):
-                assert build(s).values.tobytes() == values.tobytes()
+        # Each state's four p axes fill the four entries, then hit on the repeat.
+        for s, want in zip(states, reference):
+            for _ in range(2):
+                for build, values in zip(builds, want):
+                    assert build(s).values.tobytes() == values.tobytes()
         info = _tables.cache_info()
-        assert (info.hits, info.misses) == (2 * len(builds), 2 * len(builds))
+        assert (info.hits, info.misses) == (8, 8)
         p_axis = np.linspace(-150.0, 150.0, 256)
-        for s in states:
-            e = s.expansion
-            layout, x_tables, p_tables = _tables(256, p_axis.tobytes(), e.n_min, e.n_max)
-            for got, want in zip(_key_weights(e.coefficients, layout), uncached_key_weights(e)[1:]):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-            for arr in (*layout[:-1], *x_tables, *p_tables):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[...] = 0
+        for arr in _tables(256, p_axis.tobytes(), 12, 31)[2]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
