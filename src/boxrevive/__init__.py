@@ -18,7 +18,6 @@ from .spectrum import (
     PerturbativeRegimeError,
     SystemConfig,
     TimeScales,
-    eigenfunction,
     energy_level,
     mean_quantum_number,
     spectrum_turnover,
@@ -74,7 +73,6 @@ __all__ = [
     "carpet",
     "centroid_trace",
     "default_momentum_grid",
-    "eigenfunction",
     "energy_level",
     "enumerate_fractional",
     "evolve",

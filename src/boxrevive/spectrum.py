@@ -78,26 +78,22 @@ def energy_level(n: int, cfg: SystemConfig) -> float:
     """Energy of level n in units of hbar^2/(m L^2).
 
     Exact closed form (n^2 - q2 n^4) * pi^2/2; no quadrature involved.
+    ValueError when n^4 overflows a double.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"quantum number must be a positive integer (got {n})")
     n = int(n)
+    if n**4 > sys.float_info.max:
+        raise ValueError(f"n^4 <= {sys.float_info.max:.6g} violated (got n = "
+                         f"10^{math.log10(n):.6g}); the energy overflows past it")
     return (n * n - cfg.q_squared * n**4) * HALF_PI_SQUARED
 
 
-def eigenfunction(n: int, x):
-    """Normalized box eigenfunction sqrt(2) sin(n pi x), zero at both walls.
-
-    x may be a scalar or array; every sample must lie in [0, 1].
-    """
-    if int(n) != n or n < 1:
-        raise ValueError(f"quantum number must be a positive integer (got {n})")
-    out = _mode_matrix([int(n)], x)[0]
-    return float(out) if np.isscalar(x) else out
-
-
 def _mode_matrix(n_values, x) -> np.ndarray:
-    """sqrt(2) sin(n pi x) for each level n and sample x in [0, 1]; shape (len(n), *shape(x))."""
+    """Normalized box eigenfunctions sqrt(2) sin(n pi x), zero at both walls.
+
+    One row per level n, for samples x in [0, 1]; shape (len(n), *shape(x)).
+    """
     xv = np.asarray(x, dtype=float)
     if np.any(xv < 0.0) or np.any(xv > 1.0):
         raise ValueError("position outside the box [0, 1]")

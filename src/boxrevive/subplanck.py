@@ -7,8 +7,8 @@ default_momentum_grid (|p| <= |p_bar| + 8/delta_x), each from trapezoid sums
 forms c G_k conj(c) of the coefficient vector c. The matrices G_k depend only
 on the packet and its level range, so they are built once and cached; a report
 then costs one evolve and a few (levels x levels) products, with no grid. The
-optional fringe-spacing estimate is read from `wigner.fringe_column`, the
-Wigner slice nearest p = 0 that `wigner` chooses, and is reported alongside
+optional fringe-spacing estimate is `wigner.fringe_spacing`, read from the
+column of the default Wigner grid nearest p = 0, and is reported alongside
 the moment-based value, never mixed into it. The sensitivity curve is read
 from `sensitivity_reports`: each report's q_squared with its ratio
 delta = a_q / a(q2=0, t=0.25).
@@ -34,7 +34,7 @@ from .wavepacket import (
     expand,
     fourier_amplitude,
 )
-from .wigner import fringe_column, fringe_spacing
+from .wigner import fringe_spacing
 
 SHORT_TIME = 0.25  # quarter of the revival time, where the two-way cat forms
 
@@ -75,17 +75,13 @@ def subplanck_dimension(
     x_forms, p_forms = _moment_forms(state.packet, expansion.n_min, expansion.n_max)
     dx_eff = _form_std(x_forms, state.expansion.coefficients)
     dp_eff = _form_std(p_forms, state.expansion.coefficients)
-    action = dx_eff * dp_eff
-    spacing = None
-    if with_fringe:
-        spacing = fringe_spacing(fringe_column(state), state.packet.x_bar)
     return SubPlanckReport(
         time=t,
         q_squared=cfg.q_squared,
         delta_x_eff=dx_eff,
         delta_p_eff=dp_eff,
-        action_A=action,
-        fringe_spacing=spacing,
+        action_A=dx_eff * dp_eff,
+        fringe_spacing=fringe_spacing(state) if with_fringe else None,
     )
 
 

@@ -36,9 +36,9 @@ changes is one read-only cache entry per (nx, p axis, n_min, n_max), at most
 four entries: the pair -> key layout (bincount slots, the +-w, sign(e)
 factors), cos and sin(pi m L) with its key columns cos and sin(kappa L), cos
 and sin(2pL), 1/(kappa + 2p) and the pole terms. At levels 3..31 (125 keys) an entry holds
-1.2 MB at 256 x 256, 3.4 MB at 512 x 512 and 0.45 MB for the one-column
-fringe_column. So a call does one lookup, its state's two bincounts and the
-two (rows x key) @ (key x p) products.
+1.2 MB at 256 x 256, 3.4 MB at 512 x 512 and 0.45 MB for the one column
+that fringe_spacing reads. So a call does one lookup, its state's two
+bincounts and the two (rows x key) @ (key x p) products.
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -107,16 +107,6 @@ def wigner(
     p_axis = _p_axis(p_max, n_p)
     _check_reach(state.packet, p_max)
     return _field(state, nx, p_axis)
-
-
-def fringe_column(state: EvolvedState) -> WignerField:
-    """The column of the default `wigner` grid nearest p = 0, where fringes are read.
-
-    No coverage check: it protects the marginals of a whole field, and one
-    column has none.
-    """
-    p_axis = _p_axis(default_p_max(state.packet), DEFAULT_GRID)
-    return _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
 
 
 def _p_axis(p_max: float, n_p: int) -> np.ndarray:
@@ -214,8 +204,8 @@ def _key_weights(coefficients: np.ndarray, layout: tuple) -> tuple[np.ndarray, n
 def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     """Everything a field needs that no state changes: (layout, x tables, p tables), read-only.
 
-    p_bytes is the p axis as float64 bytes, so a full field and the one-column
-    fringe_column share this function. The layout is that of `_key_weights`.
+    p_bytes is the p axis as float64 bytes, so a full field and the one
+    column of fringe_spacing share this function. The layout is that of `_key_weights`.
     The x tables are cos and sin(pi m L) on the ceil(nx/2) near rows and
     their key columns cos(kappa L) and sin(kappa L). The p tables are cos and
     sin(2pL) on the near rows, 1/(kappa + 2p), and the pole terms: the
@@ -289,17 +279,20 @@ def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     return x_err, p_err
 
 
-def fringe_spacing(f: WignerField, x_center: float) -> float | None:
-    """Interference fringe wavelength along x in the slice nearest p = 0.
+def fringe_spacing(state: EvolvedState) -> float | None:
+    """Interference fringe wavelength along x at p ~ 0.
 
+    Reads the column of the default `wigner` grid nearest p = 0, built alone.
     Returns twice the mean gap between consecutive zero crossings of W(x, ~0)
-    within +/- FRINGE_WINDOW of x_center, or None when fewer than two crossings
-    exist (no resolvable fringes).
+    within +/- FRINGE_WINDOW of the packet's x_bar, or None when fewer than
+    two crossings exist (no resolvable fringes). No coverage check: it
+    protects the marginals of a whole field, and one column has none.
     """
-    col = int(np.argmin(np.abs(f.p_axis)))
-    mask = np.abs(f.x_axis - x_center) <= FRINGE_WINDOW
+    p_axis = _p_axis(default_p_max(state.packet), DEFAULT_GRID)
+    f = _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
+    mask = np.abs(f.x_axis - state.packet.x_bar) <= FRINGE_WINDOW
     x = f.x_axis[mask]
-    w = f.values[mask, col]
+    w = f.values[mask, 0]
     flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
     if len(flips) < 2:
         return None

@@ -207,6 +207,7 @@ class TestExitCodes:
         ("fidelity --dx 1e200", 1, "basis cap"),
         ("carpet --pbar 1e300", 1, "basis cap"),
         ("fidelity --dx 1e-300 --pbar 1e300", 1, "basis cap"),  # dx |pbar| = 1, pbar^2 overflows
+        ("carpet --dx 1e-170 --pbar 1e170", 1, "basis cap"),  # dx^2 underflows, pbar^2 overflows
         ("carpet --dx 100", 1, "basis cap"),
         ("carpet --pbar 5000", 1, "basis cap"),
         ("carpet --dx inf", 2, "delta_x"),

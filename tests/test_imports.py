@@ -1,6 +1,8 @@
 """Lint: every imported name in the program, scripts, tests and benchmark is
 read somewhere, no public name of the package lives on unit tests alone, and
-no private module-level name of the package lives on tests at all.
+no private module-level name of the package lives on tests at all. A name is
+read by code alone: Python expressions, or the README's fenced code blocks;
+docstrings, comments and README prose keep nothing alive.
 
 No linter is a dependency, so this test does the unused-import check with `ast`.
 `__init__.py` is skipped: its imports are the package's public names.
@@ -57,11 +59,11 @@ def test_unused_imports_reads_only_loads(source, expected):
 
 
 # Where a public name must be used: the program, the scripts, the benchmark,
-# the README and the acceptance suite, but not the unit tests.
+# the README's code blocks and the acceptance suite, but not the unit tests.
+PROGRAM = [path for path in MODULES if path.parent.name == "boxrevive"]
 USERS = sorted(
-    [path for path in (ROOT / "src/boxrevive").glob("*.py") if path.name != "__init__.py"]
-    + [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    + [ROOT / "README.md", ROOT / "tests/test_acceptance.py"]
+    [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    + [ROOT / "tests/test_acceptance.py"]
 )
 
 
@@ -82,22 +84,6 @@ def module_definitions(source: str, private: bool = False) -> dict[str, tuple[in
     return spans
 
 
-def test_every_public_name_is_used_beyond_unit_tests():
-    sources = {path: path.read_text().splitlines() for path in USERS}
-    unused = []
-    for path in (p for p in USERS if p.parent.name == "boxrevive"):
-        for name, (first, last) in module_definitions("\n".join(sources[path])).items():
-            # Every user file, with the definition's own lines cut from its module.
-            text = "\n".join(
-                "\n".join(lines[: first - 1] + lines[last:] if user == path else lines)
-                for user, lines in sources.items()
-            )
-            if not re.search(rf"\b{re.escape(name)}\b", text):
-                unused.append(f"{path.stem}.{name}")
-    assert unused == []
-
-
-
 def names_read(tree: ast.AST, skip: tuple[int, int] = (0, 0)) -> set[str]:
     """Names that tree loads, reads as an attribute or imports, outside the lines skip."""
     read = set()
@@ -113,18 +99,42 @@ def names_read(tree: ast.AST, skip: tuple[int, int] = (0, 0)) -> set[str]:
     return read
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """module.name for each module-level _name that no module reads beyond its definition."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def unread_names(
+    sources: dict[str, str], private: bool, readers: dict[str, str] | None = None, readme: str = ""
+) -> list[str]:
+    """module.name for each module-level public (or private) name of sources that no
+    module of sources or readers reads beyond its definition, nor a code block of readme."""
+    trees = {module: ast.parse(source) for module, source in {**sources, **(readers or {})}.items()}
+    code = "\n".join(re.findall(r"^```\w*\n(.*?)^```$", readme, re.M | re.S))  # fenced blocks
     unread = []
     for module, source in sources.items():
-        for name, span in module_definitions(source, private=True).items():
+        for name, span in module_definitions(source, private).items():
             if not any(
                 name in names_read(tree, span if user == module else (0, 0))
                 for user, tree in trees.items()
-            ):
+            ) and not re.search(rf"\b{re.escape(name)}\b", code):
                 unread.append(f"{module}.{name}")
     return unread
+
+
+@pytest.mark.parametrize("sources, readers, readme, expected", [
+    ({"m": "def f():\n    return f()\n"}, {}, "", ["m.f"]),  # recursion is no reader
+    ({"m": 'def f():\n    """f() is f."""\n'}, {"u": '"""Call f."""\n'}, "", ["m.f"]),  # docstrings
+    ({"m": "A = 1\n"}, {"u": "# A\nB = 'A'\n"}, "", ["m.A"]),  # comments and strings
+    ({"m": "def f(): pass\n"}, {}, "Call `f` in prose.\n```\ng()\n```\n", ["m.f"]),
+    ({"m": "def f(): pass\n"}, {"u": "from m import f\n"}, "", []),
+    ({"m": "A = 1\n"}, {"u": "import m\nm.A\n"}, "", []),
+    ({"m": "def f(): pass\n"}, {}, "Prose.\n```python\nfrom m import f\n```\n", []),
+    ({"m": "def f(): pass\n"}, {}, "Prose.\n```\nrun f --outdir out\n```\n", []),
+])
+def test_unread_public_names(sources, readers, readme, expected):
+    assert unread_names(sources, False, readers, readme) == expected
+
+
+def test_every_public_name_is_used_beyond_unit_tests():
+    program = {path.stem: path.read_text() for path in PROGRAM}
+    readers = {str(path.relative_to(ROOT)): path.read_text() for path in USERS}
+    assert unread_names(program, False, readers, (ROOT / "README.md").read_text()) == []
 
 
 @pytest.mark.parametrize("sources, expected", [
@@ -135,10 +145,9 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     ({"m": "_A = 1\n", "n": "from . import m\nm._A\n"}, []),
 ])
 def test_unread_private_names(sources, expected):
-    assert unread_private_names(sources) == expected
+    assert unread_names(sources, True) == expected
 
 
 def test_every_private_name_is_read_by_the_program():
     # A private helper that only tests call is dead code; tests do not keep it.
-    program = [path for path in MODULES if path.parent.name == "boxrevive"]
-    assert unread_private_names({path.stem: path.read_text() for path in program}) == []
+    assert unread_names({path.stem: path.read_text() for path in PROGRAM}, True) == []

@@ -1,6 +1,7 @@
 """Spectrum, turnover and time-scale contracts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 from boxrevive import (
     PerturbativeRegimeError,
     SystemConfig,
-    eigenfunction,
     energy_level,
     mean_quantum_number,
     spectrum_turnover,
     time_scales,
 )
+from boxrevive.spectrum import _mode_matrix
 
 HALF_PI_SQ = math.pi**2 / 2.0
 
@@ -62,36 +63,45 @@ class TestEnergyLevel:
     def test_quadratic_limit(self, n):
         assert energy_level(n, SystemConfig(0.0)) == pytest.approx(n * n * HALF_PI_SQ, rel=1e-14)
 
+    @pytest.mark.parametrize("q2", [0.0, 1e-5])
+    def test_overflowing_fourth_power_names_the_bound(self, q2):
+        # n^4 = 10^320 does not convert to a double, whatever q2 multiplies it.
+        with pytest.raises(ValueError, match=r"n\^4 <= 1\.79769e\+308 violated \(got n = 10\^80\)"):
+            energy_level(10**80, SystemConfig(q2))
+        last = math.isqrt(math.isqrt(int(sys.float_info.max)))  # the largest n with a finite n^4
+        assert math.isfinite(energy_level(last, SystemConfig(q2)))
+
 
 class TestEigenfunction:
+    """The eigenmodes sqrt(2) sin(n pi x) that every density, carpet and moment form reads."""
+
     def test_ground_state_antinode(self):
-        assert eigenfunction(1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert _mode_matrix([1], 0.5)[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_walls_are_nodes(self):
-        for n in (1, 2, 7, 31):
-            assert eigenfunction(n, 0.0) == 0.0
-            assert abs(eigenfunction(n, 1.0)) < 1e-13
+        modes = _mode_matrix([1, 2, 7, 31], [0.0, 1.0])
+        assert np.all(modes[:, 0] == 0.0)
+        assert np.max(np.abs(modes[:, 1])) < 1e-13
 
     def test_first_excited_node_at_center(self):
-        assert abs(eigenfunction(2, 0.5)) < 1e-15
+        assert abs(_mode_matrix([2], 0.5)[0]) < 1e-15
 
     def test_rejects_positions_outside_box(self):
-        with pytest.raises(ValueError):
-            eigenfunction(1, 1.2)
-        with pytest.raises(ValueError):
-            eigenfunction(1, np.array([0.2, -0.1]))
+        with pytest.raises(ValueError, match="outside the box"):
+            _mode_matrix([1], 1.2)
+        with pytest.raises(ValueError, match="outside the box"):
+            _mode_matrix([1], np.array([0.2, -0.1]))
 
     def test_array_keeps_its_shape(self):
         x = np.array([[0.0, 0.13, 0.5], [0.77, 0.999, 1.0]])
-        for n in (1, 16, 199):
-            u = eigenfunction(n, x)
-            assert u.shape == (2, 3)
+        modes = _mode_matrix(np.array([1, 16, 199]), x)
+        assert modes.shape == (3, 2, 3)
+        for n, u in zip((1, 16, 199), modes):
             assert np.max(np.abs(u - math.sqrt(2.0) * np.sin(n * math.pi * x))) < 2e-13
 
     def test_orthonormal_on_grid(self):
         x = np.linspace(0.0, 1.0, 4097)
-        u3 = eigenfunction(3, x)
-        u5 = eigenfunction(5, x)
+        u3, u5 = _mode_matrix([3, 5], x)
         assert np.trapezoid(u3 * u3, x) == pytest.approx(1.0, abs=1e-10)
         assert np.trapezoid(u3 * u5, x) == pytest.approx(0.0, abs=1e-12)
 

@@ -151,6 +151,12 @@ class TestExpansion:
     def test_gaussian_cutoff_keeps_the_formula_bits(self, dx, k):
         assert _gaussian(dx, k) == math.exp(-(dx**2) * k**2 / 2.0)
 
+    def test_gaussian_of_an_overflowing_square_uses_the_product(self):
+        # k^2 = 1e340 overflows a double, dx |k| = 1 does not.
+        with pytest.raises(OverflowError):
+            1e170**2
+        assert _gaussian(1e-170, 1e170) == math.exp(-0.5)
+
     @pytest.mark.parametrize("packet", [
         (0.5, 10.0, -math.pi),  # one lobe's Gaussian factor is exactly 1: |a_1|^2 = 10 sqrt(pi)
         (0.5, 0.3, 50.0),
@@ -166,6 +172,24 @@ class TestExpansion:
         monkeypatch.setattr(wavepacket, "_raw_coefficient", lambda n, packet: complex(math.nan))
         with pytest.raises(ValueError, match=r"captured norm <= 1 \+ epsilon"):
             expand(ref_packet, SystemConfig(0.0))
+
+    def test_leading_trim_below_budget_keeps_every_level(self, ref_packet, monkeypatch):
+        # Fifty leading weights of 0.9 floor (floor = eps/100 = 1e-8) are
+        # each below the trim floor but hold 4.5e-7 together; without them
+        # the captured norm, 1 - 1.1e-6, misses 1 - eps. So expand keeps
+        # every level from 1, with the whole cumulative norm 1 - 6.5e-7.
+        eps = 1e-6
+        weights = [0.9e-8] * 50 + [1.0 - 1.1e-6] + [0.0] * 3
+        amplitudes = [complex(math.sqrt(w)) for w in weights]
+        monkeypatch.setattr(wavepacket, "_raw_coefficient", lambda n, packet: amplitudes[n - 1])
+        expansion = expand(ref_packet, SystemConfig(0.0, truncation_epsilon=eps))
+        cumulative = 0.0
+        for a in amplitudes:
+            cumulative += abs(a) ** 2
+        assert sum(abs(a) ** 2 for a in amplitudes[50:]) <= 1.0 - eps < cumulative
+        assert expansion.n_min == 1
+        assert expansion.coefficients.tolist() == amplitudes
+        assert expansion.captured_norm == cumulative
 
     def test_overflowing_prefactor_is_rejected(self):
         with pytest.warns(WallClearanceWarning):

@@ -29,16 +29,24 @@ from boxrevive import (
 from boxrevive.fields import trapezoid_2d
 from boxrevive.wavepacket import EigenExpansion, EvolvedState
 from boxrevive.wigner import (
+    DEFAULT_GRID,
     WignerField,
     _angle_table,
     _field,
     _key_weights,
     _tables,
     default_p_max,
-    fringe_column,
     marginal_errors,
 )
+from fringes import crossing_spacing
 from moments import trapezoid_mean_std
+
+
+def zero_column(state):
+    """The column of the default `wigner` grid nearest p = 0, built alone as `fringe_spacing` builds it."""
+    p_max = default_p_max(state.packet)
+    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
+    return _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
 
 
 class TestInitialGaussian:
@@ -92,12 +100,13 @@ class TestCatState:
         assert x_err < 1e-3
         assert p_err < 1e-3
 
-    def test_fringe_spacing_matches_lobe_separation(self, cat_wigner, cat_state, ref_packet):
+    def test_fringe_spacing_matches_lobe_separation(self, cat_state, ref_packet):
         """Self-consistency: the fringes along x at p = 0 have wavelength
         2 pi / (momentum separation of the two lobes)."""
         from boxrevive import default_momentum_grid
 
-        spacing = fringe_spacing(cat_wigner, 0.5)
+        assert ref_packet.x_bar == 0.5  # the fringes are read around the centre
+        spacing = fringe_spacing(cat_state)
         assert spacing is not None
         p = default_momentum_grid(ref_packet)
         dens = np.abs(momentum_amplitude(cat_state, p)) ** 2
@@ -107,6 +116,18 @@ class TestCatState:
         p_dn = p[lower][np.argmax(dens[lower])]
         expected = 2.0 * math.pi / (p_up - p_dn)
         assert abs(spacing - expected) / expected < 0.10
+
+    def test_fringe_window_is_centred_on_the_packet(self):
+        # Off the box centre the crossings are read around x_bar: the same
+        # column read around 1/2 gives another spacing (0.0786 against 0.0754).
+        packet = PacketSpec(0.4, 0.08, 40.0)
+        cfg = SystemConfig(0.0)
+        state = evolve(expand(packet, cfg), 0.25, cfg)
+        field = wigner(state)
+        column = field.values[:, int(np.argmin(np.abs(field.p_axis)))]
+        expected = crossing_spacing(field.x_axis, column, packet.x_bar)
+        assert fringe_spacing(state) == pytest.approx(expected, rel=1e-9)
+        assert crossing_spacing(field.x_axis, column, 0.5) != pytest.approx(expected, rel=1e-2)
 
 
 class TestMarginalErrors:
@@ -163,7 +184,7 @@ class TestParityMirror:
 
 class TestExport:
     def test_fields_are_field2d_and_export_signed(self, cat_state, tmp_path):
-        fields = {"grid": wigner(cat_state, nx=32, n_p=16), "column": fringe_column(cat_state)}
+        fields = {"grid": wigner(cat_state, nx=32, n_p=16), "column": zero_column(cat_state)}
         for name, field in fields.items():
             assert isinstance(field, Field2D)
             write_field_pgm(tmp_path / f"{name}.pgm", field, signed=True)
@@ -374,11 +395,23 @@ class TestClosedForm:
             assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
 
     def test_fringe_column_is_the_default_grid_column_nearest_zero(self, states):
-        field = wigner(states["cat"])
+        # fringe_spacing builds the default grid's column nearest p = 0 alone,
+        # as the one table entry of that one-point p axis, and reads its
+        # crossings around x_bar as the whole field's column would give them.
+        state = states["cat"]
+        e = state.expansion
+        field = wigner(state)
         j = int(np.argmin(np.abs(field.p_axis)))
-        column = fringe_column(states["cat"])
-        assert column.p_axis.tolist() == [field.p_axis[j]]
+        _tables.cache_clear()
+        spacing = fringe_spacing(state)
+        _tables(DEFAULT_GRID, field.p_axis[[j]].tobytes(), e.n_min, e.n_max)
+        info = _tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        column = _field(state, DEFAULT_GRID, field.p_axis[[j]])
         assert np.max(np.abs(column.values[:, 0] - field.values[:, j])) <= 1e-12
+        expected = crossing_spacing(field.x_axis, field.values[:, j], state.packet.x_bar)
+        assert expected is not None
+        assert spacing == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("packet", [
         PacketSpec(0.5, 1e-310, 0.0),       # P_COVER_FACTOR / delta_x overflows
@@ -389,7 +422,7 @@ class TestClosedForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="2 p_max must be finite"):
-                fringe_column(state)
+                fringe_spacing(state)
 
 
 def cold(build):
@@ -539,7 +572,7 @@ class TestKernelTables:
             # Same nx and level range, another p axis; both states share this
             # p axis, so only the level range tells their entries apart.
             lambda s: wigner(s, 256, 256, p_max=150.0),
-            fringe_column,
+            zero_column,
             lambda s: wigner(s, 257, 257),
         )
         reference = [[cold(lambda: build(s)) for build in builds] for s in states]
