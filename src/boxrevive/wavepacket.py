@@ -421,14 +421,30 @@ def fourier_amplitude(coefficients, n_values, p_values) -> np.ndarray:
         integral_0^1 sin(kx) e^{-ipx} dx = -i s k e^{-id/2} sinc(d/2) / (k + s p).
 
     The denominator k + |p| never vanishes and nothing cancels at p = +/- n pi,
-    so phi is one (levels x momenta) product with no quadrature error.
+    so phi is one (levels x momenta) product with no quadrature error. The
+    (levels x momenta) modes depend on no coefficient: they are one read-only
+    cache entry per (levels, p axis), at most four entries, so repeated
+    transforms on one grid (the marginal checks of `wigner.marginal_errors`,
+    momentum_amplitude) pay only the product. p is a float or a 1-d array; a
+    float gives the shape of a one-point axis.
     """
     p = np.asarray(p_values, dtype=float)
-    k = math.pi * np.asarray(n_values, dtype=float)[:, None]
+    if p.ndim > 1:
+        raise ValueError(f"p_values must be a float or a 1-d array (got shape {p.shape})")
+    modes = _momentum_modes(np.asarray(n_values, dtype=float).tobytes(), p.tobytes())
+    return (-1j / math.sqrt(math.pi)) * (np.asarray(coefficients) @ modes)
+
+
+@functools.lru_cache(maxsize=4)
+def _momentum_modes(n_bytes: bytes, p_bytes: bytes) -> np.ndarray:
+    """The (levels x momenta) modes of `fourier_amplitude`, read-only; both axes as float64 bytes."""
+    p = np.frombuffer(p_bytes)
+    k = math.pi * np.frombuffer(n_bytes)[:, None]
     s = np.where(p < 0.0, -1.0, 1.0)
     d = p - s * k
     modes = s * k * np.exp(-0.5j * d) * np.sinc(d / (2.0 * math.pi)) / (k + np.abs(p))
-    return (-1j / math.sqrt(math.pi)) * (np.asarray(coefficients) @ modes)
+    modes.setflags(write=False)
+    return modes
 
 
 def default_momentum_grid(packet: PacketSpec) -> np.ndarray:

@@ -38,7 +38,16 @@ factors), cos and sin(pi m L) with its key columns cos and sin(kappa L), cos
 and sin(2pL), 1/(kappa + 2p) and the pole terms. At levels 3..31 (125 keys) an entry holds
 1.2 MB at 256 x 256, 3.4 MB at 512 x 512 and 0.45 MB for the one column
 that fringe_spacing reads. So a call does one lookup, its state's two
-bincounts and the two (rows x key) @ (key x p) products.
+bincounts and, per half, the key weights (rows x key) and the two
+(rows x key) @ (key x p) products.
+
+Each half is built in row tiles whose (rows x p) block fits
+wavepacket._TILE_BYTES (256 KiB; 64 rows at n_p = 512): both products of a
+tile go through one reused tile buffer, and cos and sin(2pL), the pole terms
+and 1/pi are applied straight into the field. So a call holds the field
+plus about one tile and the key weights of one half: its tracemalloc peak
+past the field is 1.1 MB at 512 x 512 and 1.6 MB at 1024 x 1024, where
+whole-half products held 3.0 MB and 10.1 MB.
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -54,6 +63,7 @@ import numpy as np
 
 from .fields import Field2D, trapezoid_2d, trapezoid_weights
 from .wavepacket import (
+    _TILE_BYTES,
     EvolvedState,
     _check_reach,
     _two_product,
@@ -125,23 +135,34 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     # Row i and its mirror nx - 1 - i share the reach L = x_i of the u
     # integral, so every table over x is built on the near half alone.
     near, far = (nx + 1) // 2, nx // 2
-    # At the mirror x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}.
+    # At the mirror x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}: the far
+    # half, written bottom up, takes the parity on both weight matrices and
+    # the opposite sign on the sin one.
     parity = (1.0 - 2.0 * (np.arange(len(w_cos)) % 2))[:, None]
-    weights = (
-        cos_l @ w_cos + sin_l @ w_sin,  # c_key(x) on the near rows
-        cos_l[:far] @ (parity * w_cos) - sin_l[:far] @ (parity * w_sin),
-    )
     values = np.empty((nx, len(p_axis)))
-    # The far half is written bottom up; each half is its own pair of
-    # (rows x key) @ (key x p) products, which keeps the temporaries at half size.
-    for w, out in zip(weights, (values[:near], values[::-1][:far])):
-        k = len(w)
-        np.multiply(cos_arg[:k], (w * sin_k[:k]) @ inverse, out=out)
-        term = (w * cos_k[:k]) @ inverse
-        term *= sin_arg[:k]
-        out += term
-        out[:, cols] += w[:, rows] * reach[:, :k].T
-    values /= math.pi
+    halves = (
+        (values[:near], w_cos, w_sin),
+        (values[::-1][:far], parity * w_cos, -(parity * w_sin)),
+    )
+    # Row tiles whose (rows x p) block fits _TILE_BYTES, so the product
+    # buffer stays in cache; it and the key weights serve both halves.
+    step = min(near, max(1, _TILE_BYTES // (8 * len(p_axis))))
+    product = np.empty((step, len(p_axis)))
+    weights = np.empty((near, w_cos.shape[1]))
+    scratch = np.empty((step, w_cos.shape[1]))
+    for out, a, b in halves:
+        c = np.matmul(cos_l[: len(out)], a, out=weights[: len(out)])  # c_key(x)
+        c += sin_l[: len(out)] @ b
+        for i in range(0, len(out), step):
+            j = min(i + step, len(out))
+            w, dest, buf, wk = c[i:j], out[i:j], product[: j - i], scratch[: j - i]
+            np.matmul(np.multiply(w, sin_k[i:j], out=wk), inverse, out=buf)
+            np.multiply(cos_arg[i:j], buf, out=dest)
+            np.matmul(np.multiply(w, cos_k[i:j], out=wk), inverse, out=buf)
+            buf *= sin_arg[i:j]
+            dest += buf
+            dest[:, cols] += w[:, rows] * reach[:, i:j].T
+            dest /= math.pi
     meta = {
         "axis1": "position [L]",
         "axis2": "momentum [hbar/L]",
@@ -269,7 +290,9 @@ def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     The marginals are trapezoid sums of the field: sum_p W dp must reproduce
     |psi(x)|^2 and sum_x W dx must reproduce |phi(p)|^2. Both references come
     from the state's coefficients, never from the field: |psi|^2 and |phi|^2
-    from the closed-form momentum transform.
+    from the closed-form momentum transform, whose (levels x p) modes are
+    cached per level range and p axis, so a repeated check on one grid costs
+    one (levels) @ (levels x p) product for phi.
     """
     x_marginal = f.values @ trapezoid_weights(f.p_axis)
     x_err = float(np.max(np.abs(x_marginal - position_density(state, f.x_axis))))

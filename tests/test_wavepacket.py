@@ -33,6 +33,7 @@ from boxrevive.wavepacket import (
     phase_cycles,
 )
 from moments import trapezoid_mean_std
+from states import two_level_range_states
 
 # Packets drawn well clear of the walls, so the Gaussian ansatz captures the
 # norm to within the default truncation tolerance.
@@ -418,6 +419,70 @@ class TestFourierAmplitude:
         got = fourier_amplitude(np.array([1.0]), np.array([n]), p)
         want = np.array([mpmath_mode_amplitude(n, pv) for pv in p])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def uncached_fourier_amplitude(coefficients, n_values, p_values):
+    """The closed-form transform of `fourier_amplitude`, with its modes built here on every call."""
+    p = np.asarray(p_values, dtype=float)
+    k = math.pi * np.asarray(n_values, dtype=float)[:, None]
+    s = np.where(p < 0.0, -1.0, 1.0)
+    d = p - s * k
+    modes = s * k * np.exp(-0.5j * d) * np.sinc(d / (2.0 * math.pi)) / (k + np.abs(p))
+    return (-1j / math.sqrt(math.pi)) * (np.asarray(coefficients) @ modes)
+
+
+class TestMomentumModeCache:
+    """The (levels x momenta) modes of fourier_amplitude, cached per level range and p axis."""
+
+    def test_entries_are_read_only(self, cat_state, ref_packet):
+        e = cat_state.expansion
+        p = default_momentum_grid(ref_packet)
+        fourier_amplitude(e.coefficients, e.n_values, p)
+        modes = wavepacket._momentum_modes(e.n_values.astype(float).tobytes(), p.tobytes())
+        assert modes.shape == (len(e.coefficients), len(p))
+        assert not modes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            modes[0, 0] = 0.0
+
+    def test_cold_and_warm_calls_are_bitwise_equal(self, cat_state, ref_packet):
+        p = default_momentum_grid(ref_packet)
+        want = uncached_fourier_amplitude(
+            cat_state.expansion.coefficients, cat_state.expansion.n_values, p)
+        wavepacket._momentum_modes.cache_clear()
+        cold = momentum_amplitude(cat_state, p)
+        warm = momentum_amplitude(cat_state, p)
+        info = wavepacket._momentum_modes.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        for got in (cold, warm):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [37.5, [37.5], np.linspace(-90.0, 90.0, 7)],
+                             ids=["float", "one_point", "axis"])
+    def test_float_and_1d_momenta_keep_their_shapes(self, cat_state, p):
+        e = cat_state.expansion
+        for coefficients in (e.coefficients, np.eye(len(e.coefficients))):
+            want = uncached_fourier_amplitude(coefficients, e.n_values, p)
+            for _ in range(2):  # cold, then warm
+                got = fourier_amplitude(coefficients, e.n_values, p)
+                assert got.shape == want.shape == coefficients.shape[:-1] + (np.size(p),)
+                assert got.tobytes() == want.tobytes()
+
+    def test_two_dimensional_momenta_are_rejected(self, cat_state):
+        e = cat_state.expansion
+        with pytest.raises(ValueError, match="float or a 1-d array"):
+            fourier_amplitude(e.coefficients, e.n_values, np.zeros((2, 3)))
+
+    def test_level_ranges_get_separate_entries(self):
+        states = two_level_range_states()
+        p = np.linspace(-150.0, 150.0, 256)
+        wavepacket._momentum_modes.cache_clear()
+        for s in states * 2:  # interleaved: miss, miss, hit, hit
+            e = s.expansion
+            want = uncached_fourier_amplitude(e.coefficients, e.n_values, p)
+            assert fourier_amplitude(e.coefficients, e.n_values, p).tobytes() == want.tobytes()
+        info = wavepacket._momentum_modes.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
 
 class TestMomentumAmplitude:

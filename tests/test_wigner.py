@@ -1,6 +1,7 @@
 """Wigner transform contracts: marginals, normalization, cat-state structure."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from boxrevive import (
     write_field_pgm,
 )
 from boxrevive.fields import trapezoid_2d
-from boxrevive.wavepacket import EigenExpansion, EvolvedState
+from boxrevive.wavepacket import _TILE_BYTES, EigenExpansion, EvolvedState
 from boxrevive.wigner import (
     DEFAULT_GRID,
     WignerField,
@@ -40,6 +41,7 @@ from boxrevive.wigner import (
 )
 from fringes import crossing_spacing
 from moments import trapezoid_mean_std
+from states import two_level_range_states
 
 
 def zero_column(state):
@@ -375,6 +377,30 @@ class TestClosedForm:
         reference = per_pair_field(states[case], column.x_axis, [p])
         assert np.max(np.abs(column.values - reference)) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["cat", "super_quarter", "mid_bounce"])
+    def test_row_tile_edges_match_per_pair_sum(self, states, case):
+        # 1025 x 257 has 127-row tiles: the near half holds 513 = 4 * 127 + 5
+        # rows, its last the middle row x = 1/2, and the far half 512 = 4 * 127 + 4.
+        # Odd n_p holds p = 0, so the d = 0 pole falls in every tile.
+        nx, n_p = 1025, 257
+        step = _TILE_BYTES // (8 * n_p)
+        assert step == 127
+        field = wigner(states[case], nx, n_p)
+        assert 0.0 in field.p_axis
+        # The first and last row of every tile of both halves (the far half
+        # counts up from the bottom row), and their mirrors.
+        edges = {
+            r
+            for size in ((nx + 1) // 2, nx // 2)
+            for start in range(0, size, step)
+            for i in (start, min(start + step, size) - 1)
+            for r in (i, nx - 1 - i)
+        }
+        rows = sorted(edges)
+        assert len(rows) == 21 and nx // 2 in rows
+        reference = per_pair_field(states[case], field.x_axis[rows], field.p_axis)
+        assert np.max(np.abs(field.values[rows] - reference)) <= 1e-12
+
     @pytest.mark.parametrize("case, x, p", [
         ("cat", 0.5, 0.0),
         ("cat", 0.3, 50.0),
@@ -429,17 +455,6 @@ def cold(build):
     """build().values with the Wigner table cache emptied first."""
     _tables.cache_clear()
     return build().values
-
-
-def two_level_range_states():
-    """Two states at t = 0.3 whose expansions span levels 3..31 and 12..31."""
-    cfg = SystemConfig(1e-5)
-    states = [
-        evolve(expand(packet, cfg), 0.3, cfg)
-        for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
-    ]
-    assert [(s.expansion.n_min, s.expansion.n_max) for s in states] == [(3, 31), (12, 31)]
-    return states
 
 
 def uncached_key_weights(expansion):
@@ -589,3 +604,24 @@ class TestKernelTables:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+
+    @pytest.mark.parametrize("grid", [512, 1024])
+    def test_warm_field_holds_no_half_grid_temporary(self, exp_moderate, cfg_moderate, grid):
+        # Past the field itself a warm call holds the key weights of one half
+        # (near rows x keys), their sin-table product while they form, and about
+        # one tile: the product buffer, its key-weight scratch and the small
+        # per-state arrays. Measured 1.05 MiB at 512^2 and 1.51 MiB at 1024^2,
+        # against 2.86 MiB and 9.60 MiB when each half held two half-grid
+        # temporaries (1 MiB and 4 MiB each).
+        state = evolve(exp_moderate, 500.0, cfg_moderate)
+        wigner(state, grid, grid)
+        tracemalloc.start()
+        try:
+            field = wigner(state, grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        e = state.expansion
+        keys = _tables(grid, field.p_axis.tobytes(), e.n_min, e.n_max)[1][2].shape[1]
+        half_weights = 8 * ((grid + 1) // 2) * keys
+        assert peak - field.values.nbytes <= 3 * _TILE_BYTES + 2 * half_weights
