@@ -56,26 +56,23 @@ class Field2D:
         object.__setattr__(self, "values", v)
 
 
-def field_csv_text(f: Field2D) -> str:
-    """Render a field as CSV with a 2-line header (axis descriptions, units)."""
-    lines = [
-        "# axis1 (rows): {}; axis2 (columns): {}; values: {}".format(
-            f.meta.get("axis1", "axis1"),
-            f.meta.get("axis2", "axis2"),
-            f.meta.get("values", "values"),
-        ),
-        "# first data row lists axis2 coordinates; first column lists axis1 coordinates",
-    ]
-    # One % per line, applied to a tuple of Python floats.
-    cells = ",".join([FLOAT_FMT] * len(f.axis2))
-    lines.append("," + cells % tuple(f.axis2.tolist()))
-    row_fmt = FLOAT_FMT + "," + cells
-    lines += (row_fmt % tuple(r) for r in np.column_stack([f.axis1, f.values]).tolist())
-    return "\n".join(lines) + "\n"
-
-
 def write_field_csv(path, f: Field2D) -> None:
-    Path(path).write_text(field_csv_text(f))
+    """Write a field as CSV with a 2-line header (axis descriptions, units), one row at a time."""
+    # One % per row, applied to a tuple of Python floats.
+    cells = ",".join([FLOAT_FMT] * len(f.axis2))
+    row_fmt = FLOAT_FMT + "," + cells + "\n"
+    with Path(path).open("w") as out:
+        out.write(
+            "# axis1 (rows): {}; axis2 (columns): {}; values: {}\n".format(
+                f.meta.get("axis1", "axis1"),
+                f.meta.get("axis2", "axis2"),
+                f.meta.get("values", "values"),
+            )
+        )
+        out.write("# first data row lists axis2 coordinates; first column lists axis1 coordinates\n")
+        out.write("," + cells % tuple(f.axis2.tolist()) + "\n")
+        for t, row in zip(f.axis1.tolist(), f.values):
+            out.write(row_fmt % (t, *row.tolist()))
 
 
 def _pgm_bytes(quantized: np.ndarray, comment: str) -> bytes:

@@ -28,11 +28,11 @@ from .wavepacket import (
     DEFAULT_X_POINTS,
     EigenExpansion,
     PacketSpec,
+    _momentum_modes,
     _warn_past_turnover,
     default_momentum_grid,
     evolve,
     expand,
-    fourier_amplitude,
 )
 from .wigner import fringe_spacing
 
@@ -100,7 +100,9 @@ def _moment_forms(packet: PacketSpec, n_min: int, n_max: int) -> tuple[np.ndarra
     x_grid = np.linspace(0.0, 1.0, DEFAULT_X_POINTS)
     p_grid = default_momentum_grid(packet)
     x_modes = _mode_matrix(n_values, x_grid)
-    p_modes = fourier_amplitude(np.eye(len(n_values)), n_values, p_grid)
+    # The modes of fourier_amplitude, uncached: these forms are cached themselves.
+    modes = _momentum_modes.__wrapped__(n_values.astype(float).tobytes(), p_grid.tobytes())
+    p_modes = (-1j / math.sqrt(math.pi)) * modes
     return _trapezoid_forms(x_grid, x_modes), _trapezoid_forms(p_grid, p_modes)
 
 

@@ -26,16 +26,13 @@ built on the ceil(nx/2) near rows alone, with L = x there; the far rows take
 their key weights through the (-1)^m parity and sit at 1 - L, their grid x
 to within an ulp. Each half is written into the field in place.
 
-The near L are uniform from 0, so both trig tables, cos and sin(pi m L) and
-cos and sin(2pL), come from angle addition: with B = isqrt(len(L)), row
-aB + b is e^{i theta L[aB]} e^{i theta L[b]}, about 2 sqrt(len(L)) rows of
-cos and sin and four products per cell. Those rows are shared by up to B
-cells each, so each of their angles theta L carries its own rounding error
-back in (Dekker's TwoProduct). Everything a field needs that no state
-changes is one read-only cache entry per (nx, p axis, n_min, n_max), at most
-four entries: the pair -> key layout (bincount slots, the +-w, sign(e)
-factors), cos and sin(pi m L) with its key columns cos and sin(kappa L), cos
-and sin(2pL), 1/(kappa + 2p) and the pole terms. At levels 3..31 (125 keys) an entry holds
+Everything a field needs that no state changes is one read-only cache
+entry per (nx, p axis, n_min, n_max), at most four entries: the pair -> key
+layout (bincount slots, the +-w, sign(e) factors), cos and sin(pi m L) with
+its key columns cos and sin(kappa L), cos and sin(2pL), 1/(kappa + 2p) and
+the pole terms. Both trig tables are np.cos and np.sin of their rounded
+angle arrays, taken once per entry, so a cell's rounding error grows with
+its largest angle |pi m L| or |2pL|. At levels 3..31 (125 keys) an entry holds
 1.2 MB at 256 x 256, 3.4 MB at 512 x 512 and 0.45 MB for the one column
 that fringe_spacing reads. So a call does one lookup, its state's two
 bincounts and, per half, the key weights (rows x key) and the two
@@ -66,7 +63,6 @@ from .wavepacket import (
     _TILE_BYTES,
     EvolvedState,
     _check_reach,
-    _two_product,
     default_p_max,
     fourier_amplitude,
     position_density,
@@ -172,37 +168,6 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     return WignerField(np.linspace(0.0, 1.0, nx), p_axis, values, meta)
 
 
-def _angle_table(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of outer(axis, freq) for a non-empty axis[i] = i h in [0, 1], by angle addition.
-
-    With B = isqrt(len(axis)), row aB + b is e^{i freq axis[aB]} e^{i freq axis[b]}:
-    about 2 sqrt(len(axis)) rows of cos and sin and four products per cell.
-    Each row is shared by up to B cells, so its rounding would not average out
-    along x: every row angle gets its TwoProduct rounding error back as a
-    rotation (freq = m 2^k with |m| < 1 keeps the split from overflowing, and
-    the scaling by 2^k is exact). Row 0 is exactly (1, 0). Both tables are
-    C-contiguous, as BLAS wants them.
-    """
-    step = math.isqrt(len(axis))
-    mantissa, exponent = np.frexp(freq)
-    angle, error = _two_product(np.concatenate([axis[:step], axis[::step]])[:, None], mantissa)
-    # |error| <= half an ulp of the angle, so cos(error) = 1 and sin(error) = error
-    # to rounding; sin keeps the rotation bounded where a huge angle has a huge error.
-    angle, error = np.ldexp(angle, exponent), np.sin(np.ldexp(error, exponent))
-    cos, sin = np.cos(angle), np.sin(angle)
-    cos, sin = cos - error * sin, sin + error * cos
-    fine_cos, fine_sin = cos[:step], sin[:step]
-    coarse_cos, coarse_sin = cos[step:, None], sin[step:, None]
-    # One block holds both tables, as (coarse row, fine row, freq) before the reshape.
-    tables = np.empty((2, len(coarse_cos), step, len(freq)))
-    np.multiply(coarse_cos, fine_cos, out=tables[0])
-    tables[0] -= coarse_sin * fine_sin
-    np.multiply(coarse_sin, fine_cos, out=tables[1])
-    tables[1] += coarse_cos * fine_sin
-    table_cos, table_sin = tables.reshape(2, -1, len(freq))[:, : len(axis)]
-    return table_cos, table_sin
-
-
 def _key_weights(coefficients: np.ndarray, layout: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The weight matrices of c_key(x) for these coefficients, on a layout of `_tables`.
 
@@ -240,7 +205,7 @@ def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     e = np.concatenate([d, -d, s])
     w = np.repeat([1.0, 1.0, -2.0], len(s))
     half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
-    cos_l, sin_l = _angle_table(half, math.pi * np.arange(2 * n_max + 1))
+    cos_l, sin_l = _cos_sin(half, math.pi * np.arange(2 * n_max + 1))
     p_axis = np.frombuffer(p_bytes)
     denom = math.pi * keys[:, None] + 2.0 * p_axis
     pole = np.abs(denom) < POLE_GAP
@@ -249,7 +214,7 @@ def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     layout = (np.abs(e) * len(keys) + col, w, -w * np.sign(e))
     x_tables = (cos_l, sin_l, cos_l[:, np.abs(keys)], sin_l[:, np.abs(keys)] * np.sign(keys))
     p_tables = (
-        *_angle_table(half, 2.0 * p_axis),
+        *_cos_sin(half, 2.0 * p_axis),
         np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole),
         rows,
         cols,
@@ -260,14 +225,26 @@ def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     return (*layout, (2 * n_max + 1, len(keys))), x_tables, p_tables
 
 
+def _cos_sin(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of outer(axis, freq); the sin is taken in place over the angles."""
+    angle = np.outer(axis, freq)
+    return np.cos(angle), np.sin(angle, out=angle)
+
+
 def wigner_overlap(a: WignerField, b: WignerField) -> float:
-    """Normalized phase-space inner product of two fields on identical grids."""
+    """Normalized phase-space inner product of two fields on identical grids.
+
+    A field with no nonzero value (nx = 2 holds only the walls, where L = 0)
+    has zero norm and no overlap: ValueError.
+    """
     if a.values.shape != b.values.shape or not (
         np.allclose(a.x_axis, b.x_axis) and np.allclose(a.p_axis, b.p_axis)
     ):
         raise ValueError("Wigner fields live on different grids")
     num = float(np.sum(a.values * b.values))
     den = math.sqrt(float(np.sum(a.values**2)) * float(np.sum(b.values**2)))
+    if den == 0.0:
+        raise ValueError("a Wigner field has zero norm, so the overlap is undefined")
     return num / den
 
 

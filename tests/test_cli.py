@@ -161,8 +161,9 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_allocation_failure_is_exit_two(self, tmp_path, capsys, monkeypatch):
-        # numpy's text for `wigner --nx 100000000`, whose angle table block is 50 GB.
-        text = "Unable to allocate 50.0 GiB for an array with shape (2, 7072, 7071, 63)"
+        # numpy's text for `wigner --nx 100000000`, whose first large block past
+        # the 0.75 GiB x grid is the angle array of cos and sin(pi m L): 5e7 near rows by 63.
+        text = "Unable to allocate 23.5 GiB for an array with shape (50000000, 63) and data type float64"
 
         def too_large(*args, **kwargs):
             raise MemoryError(text)

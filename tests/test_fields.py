@@ -1,12 +1,14 @@
 """Field container and CSV / PGM export formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from boxrevive import Field2D, write_field_csv, write_field_pgm
-from boxrevive.fields import field_csv_text, local_maxima, parabolic_vertex, trapezoid_2d
+from boxrevive.fields import local_maxima, parabolic_vertex, trapezoid_2d
 
 
 @pytest.fixture
@@ -15,6 +17,13 @@ def small_field():
     x = np.linspace(0.0, 1.0, 6)
     values = np.outer(1.0 + t, np.sin(np.pi * x) ** 2)
     return Field2D(t, x, values, {"axis1": "time [T_rev]", "axis2": "position [L]"})
+
+
+def csv_text(tmp_path, f, name="field.csv"):
+    """The CSV text that write_field_csv writes for f."""
+    path = tmp_path / name
+    write_field_csv(path, f)
+    return path.read_text()
 
 
 def parse_pgm(path):
@@ -53,16 +62,16 @@ class TestCsv:
         assert np.allclose(axis2, small_field.axis2, atol=1e-11)
         assert np.allclose(body[:, 1:], small_field.values, rtol=1e-11)
 
-    def test_two_header_lines(self, small_field):
-        lines = field_csv_text(small_field).splitlines()
+    def test_two_header_lines(self, small_field, tmp_path):
+        lines = csv_text(tmp_path, small_field).splitlines()
         assert lines[0].startswith("#") and lines[1].startswith("#")
         assert not lines[2].startswith("#")
         assert "time [T_rev]" in lines[0]
 
-    def test_byte_stability(self, small_field):
-        assert field_csv_text(small_field) == field_csv_text(small_field)
+    def test_byte_stability(self, small_field, tmp_path):
+        assert csv_text(tmp_path, small_field, "a.csv") == csv_text(tmp_path, small_field, "b.csv")
 
-    def test_cells_match_per_cell_formatting(self):
+    def test_cells_match_per_cell_formatting(self, tmp_path):
         # Signed zero, the smallest subnormal, exponent switches of %.12g and
         # a value that rounds in the 12th digit.
         awkward = [-0.0, 5e-324, 1e21, 123456789012.5, -1.5e-7, 0.1, -1e-300, 1e16, 2.5]
@@ -77,9 +86,23 @@ class TestCsv:
         ]
         for t, row in zip(axis1, values):
             expected.append(",".join("%.12g" % float(v) for v in [t, *row]))
-        assert field_csv_text(f) == "\n".join(expected) + "\n"
+        text = csv_text(tmp_path, f)
+        assert text == "\n".join(expected) + "\n"
         row = "-0,-0,4.94065645841e-324,1e+21,123456789012,-1.5e-07"
-        assert field_csv_text(f).splitlines()[3] == row
+        assert text.splitlines()[3] == row
+
+    def test_write_streams_rows(self, tmp_path):
+        # A 512^2 field is 2 MiB; the writer holds one row of text and its
+        # floats at a time (measured 0.06 MiB).
+        rng = np.random.default_rng(3)
+        f = Field2D(np.linspace(0.0, 1.0, 512), np.linspace(-1.0, 1.0, 512), rng.normal(size=(512, 512)))
+        tracemalloc.start()
+        try:
+            write_field_csv(tmp_path / "big.csv", f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= f.values.nbytes // 8
 
 
 class TestPgm:

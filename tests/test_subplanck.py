@@ -24,7 +24,7 @@ from boxrevive import (
     wigner,
 )
 from boxrevive.subplanck import SHORT_TIME, _moment_forms, evaluation_time
-from boxrevive.wavepacket import DEFAULT_X_POINTS
+from boxrevive.wavepacket import DEFAULT_X_POINTS, _momentum_modes
 from fringes import crossing_spacing
 from moments import trapezoid_mean_std
 
@@ -233,3 +233,13 @@ class TestMomentForms:
             assert max(width_errors(packet, cfg, 0.25)) <= 1e-12
         info = _moment_forms.cache_info()
         assert (info.misses, info.hits) == (3, 3)
+
+    def test_cold_forms_leave_the_momentum_mode_cache_alone(self, ref_packet):
+        # The forms are cached themselves, so their modes take no entry of
+        # fourier_amplitude's mode cache and make no lookup there.
+        e = expand(ref_packet, SystemConfig(1e-5))
+        _moment_forms.cache_clear()
+        before = _momentum_modes.cache_info()
+        _moment_forms(ref_packet, e.n_min, e.n_max)
+        assert _moment_forms.cache_info().misses == 1
+        assert _momentum_modes.cache_info() == before
