@@ -33,9 +33,8 @@ its key columns cos and sin(kappa L), cos and sin(2pL), 1/(kappa + 2p) and
 the pole terms. Both trig tables are np.cos and np.sin of their rounded
 angle arrays, taken once per entry, so a cell's rounding error grows with
 its largest angle |pi m L| or |2pL|. At levels 3..31 (125 keys) an entry holds
-1.2 MB at 256 x 256, 3.4 MB at 512 x 512 and 0.45 MB for the one column
-that fringe_spacing reads. So a call does one lookup, its state's two
-bincounts and, per half, the key weights (rows x key) and the two
+1.2 MB at 256 x 256 and 3.4 MB at 512 x 512. So a call does one lookup, its
+state's two bincounts and, per half, the key weights (rows x key) and the two
 (rows x key) @ (key x p) products.
 
 Each half is built in row tiles whose (rows x p) block fits
@@ -45,6 +44,13 @@ and 1/pi are applied straight into the field. So a call holds the field
 plus about one tile and the key weights of one half: its tracemalloc peak
 past the field is 1.1 MB at 512 x 512 and 1.6 MB at 1024 x 1024, where
 whole-half products held 3.0 MB and 10.1 MB.
+
+The one column that fringe_spacing reads does not go through these tables.
+At one p the u integral of each pair closes on its boundary terms u = +-L,
+so the column is (1/pi) Im of two (levels x levels) matrices M+- applied to
+the coefficients and one (rows x levels) product with the near-row phases
+e^{i(2p +- 2 pi n) L} (`_column`). Its state-free part is its own read-only
+cache entry per (nx, p, n_min, n_max), 0.13 MB at levels 3..31 and 256 rows.
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -190,8 +196,8 @@ def _key_weights(coefficients: np.ndarray, layout: tuple) -> tuple[np.ndarray, n
 def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     """Everything a field needs that no state changes: (layout, x tables, p tables), read-only.
 
-    p_bytes is the p axis as float64 bytes, so a full field and the one
-    column of fringe_spacing share this function. The layout is that of `_key_weights`.
+    p_bytes is the p axis as float64 bytes, so any p axis of `_field`
+    keys an entry. The layout is that of `_key_weights`.
     The x tables are cos and sin(pi m L) on the ceil(nx/2) near rows and
     their key columns cos(kappa L) and sin(kappa L). The p tables are cos and
     sin(2pL) on the near rows, 1/(kappa + 2p), and the pole terms: the
@@ -282,19 +288,89 @@ def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
 def fringe_spacing(state: EvolvedState) -> float | None:
     """Interference fringe wavelength along x at p ~ 0.
 
-    Reads the column of the default `wigner` grid nearest p = 0, built alone.
-    Returns twice the mean gap between consecutive zero crossings of W(x, ~0)
-    within +/- FRINGE_WINDOW of the packet's x_bar, or None when fewer than
-    two crossings exist (no resolvable fringes). No coverage check: it
-    protects the marginals of a whole field, and one column has none.
+    Reads the column of the default `wigner` grid nearest p = 0, from its
+    closed form `_column`. Returns twice the mean gap between consecutive zero
+    crossings of W(x, ~0) within +/- FRINGE_WINDOW of the packet's x_bar, or
+    None when fewer than two crossings exist (no resolvable fringes). No
+    coverage check: it protects the marginals of a whole field, and one
+    column has none.
     """
     p_axis = _p_axis(default_p_max(state.packet), DEFAULT_GRID)
-    f = _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
-    mask = np.abs(f.x_axis - state.packet.x_bar) <= FRINGE_WINDOW
-    x = f.x_axis[mask]
-    w = f.values[mask, 0]
+    x = np.linspace(0.0, 1.0, DEFAULT_GRID)
+    w = _column(state, DEFAULT_GRID, float(p_axis[np.argmin(np.abs(p_axis))]))
+    mask = np.abs(x - state.packet.x_bar) <= FRINGE_WINDOW
+    x, w = x[mask], w[mask]
     flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
     if len(flips) < 2:
         return None
     crossings = x[flips] + w[flips] / (w[flips] - w[flips + 1]) * (x[flips + 1] - x[flips])
     return 2.0 * float(np.mean(np.diff(crossings)))
+
+
+def _column(state: EvolvedState, nx: int, p: float) -> np.ndarray:
+    """W(x, p) at one momentum p on x = linspace(0, 1, nx), from the boundary terms of the u integral.
+
+    At x = L <= 1/2 the integral of each pair closes at u = +-L, and
+    W = (1/pi) Im[sum_n conj(a_n) ((M+ a)_n e^{i(2p + 2 pi n) L}
+    + (M- a)_n e^{i(2p - 2 pi n) L})] with M+-[n, m] = 1/(2p +- pi(n + m))
+    - 1/(2p +- pi(n - m)); at x = 1 - L the same holds with a_n replaced by
+    conj((-1)^n a_n). So a column costs two (levels x levels) products and one
+    (rows x levels) product per half, where `_field` forms every key weight
+    of every row. The reciprocals within POLE_GAP of a pole are zero in M+-
+    and their pair terms are summed directly as c L sinc, as in `_field`; the
+    wall rows (L = 0) are exactly zero.
+    """
+    e = state.expansion
+    plus, minus, phases, parity, pole_n, pole_m = _column_tables(nx, p, e.n_min, e.n_max)
+    # Columns: the near half's coefficients and the far half's conj((-1)^n a_n).
+    a = np.stack([e.coefficients, np.conj(parity * e.coefficients)], axis=1)
+    b = np.conj(a)
+    weights = np.concatenate([b * (plus @ a), b * (minus @ a), b[pole_n] * a[pole_m]])
+    near = (phases @ weights).imag
+    near[0] = 0.0  # L = 0 at both walls
+    values = np.empty(nx)
+    values[: len(near)] = near[:, 0]
+    values[::-1][: nx // 2] = near[: nx // 2, 1]
+    return values / math.pi
+
+
+@functools.lru_cache(maxsize=4)
+def _column_tables(nx: int, p: float, n_min: int, n_max: int) -> tuple:
+    """What `_column` needs that no state changes: (M+, M-, phases, parity, pole pairs), read-only.
+
+    The phases are e^{i(2p +- 2 pi n) L} on the ceil(nx/2) near rows, then,
+    for each pair term (n, m) within POLE_GAP of its pole, i sign
+    e^{i pi e L} L sinc((kappa + 2p) L): that term is
+    sign Re(conj(a_n) a_m e^{i pi e L}) L sinc, for (kappa, e, sign) in
+    (s, d, 1), (-s, -d, 1), (d, s, -1) and (-d, -s, -1).
+    """
+    n = np.arange(n_min, n_max + 1)
+    s = np.add.outer(n, n)
+    d = np.subtract.outer(n, n)
+    half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
+    recips, pole_n, pole_m, pole_phase = [], [], [], []
+    for key, e, sign in ((s, d, 1.0), (-s, -d, 1.0), (d, s, -1.0), (-d, -s, -1.0)):
+        denom = math.pi * key + 2.0 * p
+        pole = np.abs(denom) < POLE_GAP
+        recips.append(np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole))
+        i, j = np.nonzero(pole)
+        reach = half * np.sinc(denom[pole][:, None] * half / math.pi)
+        pole_n.append(i)
+        pole_m.append(j)
+        pole_phase.append(1j * sign * reach.T * np.exp(1j * math.pi * np.outer(half, e[pole])))
+    phases = np.hstack([
+        np.exp(1j * np.outer(half, 2.0 * p + 2.0 * math.pi * n)),
+        np.exp(1j * np.outer(half, 2.0 * p - 2.0 * math.pi * n)),
+        *pole_phase,
+    ])
+    tables = (
+        recips[0] - recips[2],
+        recips[1] - recips[3],
+        phases,
+        1.0 - 2.0 * (n % 2),
+        np.concatenate(pole_n),
+        np.concatenate(pole_m),
+    )
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables

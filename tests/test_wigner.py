@@ -32,6 +32,8 @@ from boxrevive.wavepacket import _TILE_BYTES, EigenExpansion, EvolvedState
 from boxrevive.wigner import (
     DEFAULT_GRID,
     WignerField,
+    _column,
+    _column_tables,
     _field,
     _key_weights,
     _tables,
@@ -44,7 +46,8 @@ from states import two_level_range_states
 
 
 def zero_column(state):
-    """The column of the default `wigner` grid nearest p = 0, built alone as `fringe_spacing` builds it."""
+    """The column of the default `wigner` grid nearest p = 0, built alone through the full-grid
+    kernel `_field`: the reference for the closed-form column that `fringe_spacing` reads."""
     p_max = default_p_max(state.packet)
     p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
     return _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
@@ -450,24 +453,85 @@ class TestClosedForm:
             column = _field(states["cat"], nx, field.p_axis[[16]])
             assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
 
-    def test_fringe_column_is_the_default_grid_column_nearest_zero(self, states):
-        # fringe_spacing builds the default grid's column nearest p = 0 alone,
-        # as the one table entry of that one-point p axis, and reads its
-        # crossings around x_bar as the whole field's column would give them.
+    def test_fringe_spacing_reads_the_column_outside_the_field_tables(self, states):
+        # fringe_spacing reads the default grid's column nearest p = 0 from
+        # its closed form, which takes no entry of the field's table cache,
+        # and finds its crossings around x_bar as the whole field's column
+        # would give them.
         state = states["cat"]
-        e = state.expansion
         field = wigner(state)
         j = int(np.argmin(np.abs(field.p_axis)))
         _tables.cache_clear()
+        _column_tables.cache_clear()
         spacing = fringe_spacing(state)
-        _tables(DEFAULT_GRID, field.p_axis[[j]].tobytes(), e.n_min, e.n_max)
         info = _tables.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        column = _field(state, DEFAULT_GRID, field.p_axis[[j]])
-        assert np.max(np.abs(column.values[:, 0] - field.values[:, j])) <= 1e-12
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert _column_tables.cache_info().misses == 1
+        column = _column(state, DEFAULT_GRID, float(field.p_axis[j]))
+        assert _column_tables.cache_info().hits == 1
+        assert np.max(np.abs(column - zero_column(state).values[:, 0])) <= 1e-12
+        assert np.max(np.abs(column - field.values[:, j])) <= 1e-12
         expected = crossing_spacing(field.x_axis, field.values[:, j], state.packet.x_bar)
         assert expected is not None
         assert spacing == pytest.approx(expected, rel=1e-9)
+        e = state.expansion
+        for arr in _column_tables(DEFAULT_GRID, float(field.p_axis[j]), e.n_min, e.n_max):
+            assert not arr.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(["cat", "third", "super_quarter", "mid_bounce"]),
+        key=st.integers(-64, 64),
+        offset=st.floats(-1e-3, 1e-3),
+    )
+    def test_closed_form_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset):
+        # Within POLE_GAP of p = -kappa/2 the reciprocals of that key are
+        # dropped from M+- and their pair terms summed directly.
+        p = -0.5 * math.pi * key + offset
+        column = _column(states[case], 33, p)
+        reference = per_pair_field(states[case], np.linspace(0.0, 1.0, 33), [p])
+        assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
+
+    @pytest.mark.parametrize("nx", [2, 3, 256, 257])
+    @pytest.mark.parametrize("case, p", [
+        ("cat", 0.0),                        # the d = 0 pole
+        ("third", 0.37),
+        ("super_quarter", -0.5 * math.pi * 9 + 2e-3),
+        ("dephased", 50.0),
+    ])
+    def test_closed_form_column_matches_per_pair_sum(self, states, case, p, nx):
+        column = _column(states[case], nx, p)
+        assert column.shape == (nx,)
+        reference = per_pair_field(states[case], np.linspace(0.0, 1.0, nx), [p])
+        assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
+        assert column[0] == 0.0 and column[-1] == 0.0  # L = 0 at both walls
+
+    @pytest.mark.parametrize("nx, p", [(512, 0.0), (257, 1.3), (256, -50.0 * math.pi + 1e-12)])
+    def test_closed_form_column_at_large_angles_matches_per_pair_sum(self, large_angle, nx, p):
+        # The middle rows of the 127-level packet, where pi m L reaches 603.
+        expansion, cfg = large_angle
+        state = evolve(expansion, 0.25, cfg)
+        rows = [nx // 2 - 2, nx // 2 - 1, nx // 2, nx // 2 + 1]
+        reference = per_pair_field(state, np.linspace(0.0, 1.0, nx)[rows], [p])
+        assert np.max(np.abs(_column(state, nx, p)[rows] - reference[:, 0])) <= 1e-12
+
+    def test_fringe_spacing_on_a_pole(self):
+        # p_max = 255 pi / 2 puts the default grid's momentum nearest 0 at
+        # -pi/2, so kappa = pi sits within rounding of -2p.
+        cfg = SystemConfig(0.0)
+        packet = PacketSpec(0.5, 0.1, 255.0 * math.pi / 2.0 - 60.0)
+        state = evolve(expand(packet, cfg), 0.25, cfg)
+        assert (state.expansion.n_min, state.expansion.n_max) == (96, 124)
+        p_axis = np.linspace(-default_p_max(packet), default_p_max(packet), DEFAULT_GRID)
+        p = float(p_axis[np.argmin(np.abs(p_axis))])
+        assert abs(2.0 * p + math.pi) < 1e-13
+        column = _column(state, DEFAULT_GRID, p)
+        reference = per_pair_field(state, np.linspace(0.0, 1.0, DEFAULT_GRID), [p])
+        assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
+        reference_column = zero_column(state)
+        expected = crossing_spacing(reference_column.x_axis, reference_column.values[:, 0], 0.5)
+        assert expected == pytest.approx(0.0092036, abs=1e-7)
+        assert fringe_spacing(state) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("packet", [
         PacketSpec(0.5, 1e-310, 0.0),       # P_COVER_FACTOR / delta_x overflows
