@@ -3,54 +3,58 @@
 W(x, p) = (1/pi) integral psi*(x - u) psi(x + u) e^{-2ipu} du, with psi
 extended by zero outside the box so the u integration is exactly limited to
 |u| <= L = min(x, 1 - x). For psi = sum_n a_n sqrt(2) sin(n pi x) the integral
-has a closed form. With s = n + m and d = n - m,
+of each pair closes on its boundary terms u = +-L: on the near rows x = L,
 
-    W = (1/pi) sum_key c_key(x) sin((kappa_key + 2p) L) / (kappa_key + 2p)
+    W(L, p) = (1/pi) Im[e^{2ipL} sum_n (u+_n e^{2 pi i n L} + u-_n e^{-2 pi i n L})]
 
-over the keys kappa in {s pi, -s pi, d pi} (6N - 3 of them for N levels; keys
-of equal value are merged). The real weights are
-G_s = sum_{n+m=s} conj(a_n) a_m e^{i pi (n-m) x} for s pi, G'_s (the same sum
-with e^{-i pi (n-m) x}, not G_s) for -s pi, and -2 Re H_d with
-H_d = sum_{n-m=d} conj(a_n) a_m e^{i pi (n+m) x} for d pi. Every key and
-phase is an integer multiple of pi, so one table of cos and sin(pi m L) gives
-both the weights and sin(kappa L), cos(kappa L). Splitting
-sin((kappa + 2p) L) = sin(kappa L) cos(2pL) + cos(kappa L) sin(2pL) makes the
-field two real (x by key) times (key by p) products against 1/(kappa + 2p);
-pairs within POLE_GAP of a pole are summed directly as c L sinc. The field is
-exact to rounding and real by construction.
+with u+- = conj(a) (M+-(p) a) and M+-[n, m] = 1/(2p +- pi(n + m))
+- 1/(2p +- pi(n - m)), and at x = 1 - L the same with a_n replaced by
+conj((-1)^n a_n). The field is exact to rounding and real by construction.
 
-Rows x and 1 - x of the grid x = linspace(0, 1, nx) share the reach L, and
-at x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}. So every table over x
-(cos and sin(pi m L), the key weights, cos and sin(2pL), the pole reach) is
-built on the ceil(nx/2) near rows alone, with L = x there; the far rows take
-their key weights through the (-1)^m parity and sit at 1 - L, their grid x
-to within an ulp. Each half is written into the field in place.
+M+- reach p only through the reciprocals 1/(pi k + 2p) of the keys
+k = -2 n_max..2 n_max, so u+- are the pair sums
+P[n, k] = sum_m conj(a_n) a_m ([n + m = k] - [n - m = k]) times the (key x p)
+reciprocals; u- reads P[n, -k]. Folding k with -k, a half's real and
+imaginary parts take two (2 levels x (2 n_max + 1)) @ ((2 n_max + 1) x p)
+products against the even and odd reciprocals, and then in each row tile
+W = sin(2pL) [C S] @ rhs_re + cos(2pL) [C S] @ rhs_im, with [C S] the
+(rows x 2 levels) cos and sin(2 pi n L). So the products over the grid have
+inner dimension 2 levels (58 at 29 levels) and no (rows x key) weights.
+Reciprocals within POLE_GAP of a pole are zero, and the pairs on that key are
+summed directly: their term is the column of that key's pair sums times
+e^{-i pi k L} and the reach L sinc((pi k + 2p) L). The wall rows (L = 0) are
+exactly zero.
+
+Rows x and 1 - x of the grid x = linspace(0, 1, nx) share the reach L, so
+every table over x is built on the ceil(nx/2) near rows alone, with L = x
+there; the far half takes the near half's kernel with each key's pair sums
+conjugated and signed by (-1)^k, and sits at 1 - L, its grid x to within an
+ulp. Each half is written into the field in place.
 
 Everything a field needs that no state changes is one read-only cache
-entry per (nx, p axis, n_min, n_max), at most four entries: the pair -> key
-layout (bincount slots, the +-w, sign(e) factors), cos and sin(pi m L) with
-its key columns cos and sin(kappa L), cos and sin(2pL), 1/(kappa + 2p) and
-the pole terms. Both trig tables are np.cos and np.sin of their rounded
-angle arrays, taken once per entry, so a cell's rounding error grows with
-its largest angle |pi m L| or |2pL|. At levels 3..31 (125 keys) an entry holds
-1.2 MB at 256 x 256 and 3.4 MB at 512 x 512. So a call does one lookup, its
-state's two bincounts and, per half, the key weights (rows x key) and the two
-(rows x key) @ (key x p) products.
+entry per (nx, p axis, n_min, n_max), at most four entries: the x axis,
+[C S], cos and sin(2pL), the folded reciprocals with 1/pi folded in, the far
+half's signs and the pole terms. Both trig tables are np.cos and np.sin of
+their rounded angle arrays, taken once per entry, so a cell's rounding error
+grows with its largest angle |2 pi n L| or |2pL|. At levels 3..31 an entry
+holds 0.85 MB at 256 x 256, 2.7 MB at 512 x 512 and 9.7 MB at 1024 x 1024.
+So a call does one lookup, the state's pair sums and, per half, the two
+reciprocal products and the tile products.
 
 Each half is built in row tiles whose (rows x p) block fits
 wavepacket._TILE_BYTES (256 KiB; 64 rows at n_p = 512): both products of a
-tile go through one reused tile buffer, and cos and sin(2pL), the pole terms
-and 1/pi are applied straight into the field. So a call holds the field
-plus about one tile and the key weights of one half: its tracemalloc peak
-past the field is 1.1 MB at 512 x 512 and 1.6 MB at 1024 x 1024, where
-whole-half products held 3.0 MB and 10.1 MB.
+tile go through one reused tile buffer, and cos and sin(2pL) and the pole
+terms are applied straight into the field. So a call holds the field plus
+one tile and one half's (4 levels x p) reciprocal products: its tracemalloc
+peak past the field is 0.94 MB at 512 x 512 and 1.4 MB at 1024 x 1024.
 
-The one column that fringe_spacing reads does not go through these tables.
-At one p the u integral of each pair closes on its boundary terms u = +-L,
-so the column is (1/pi) Im of two (levels x levels) matrices M+- applied to
-the coefficients and one (rows x levels) product with the near-row phases
-e^{i(2p +- 2 pi n) L} (`_column`). Its state-free part is its own read-only
-cache entry per (nx, p, n_min, n_max), 0.13 MB at levels 3..31 and 256 rows.
+The one column that fringe_spacing reads takes the same closed form at one
+p through the (levels x levels) matrices M+- themselves (`_column`), which
+is cheaper there than the field's reciprocal products: 28 us a column
+against 88 us for `_field` on a one-point p axis (2-vCPU Xeon). Its state-free part is its
+own read-only cache entry per (nx, p, n_min, n_max), 0.13 MB at levels
+3..31 and 256 rows. Both entries take their reciprocals and poles from
+`_key_reciprocals`.
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -129,106 +133,158 @@ def _p_axis(p_max: float, n_p: int) -> np.ndarray:
 
 
 def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
-    expansion = state.expansion
-    layout, x_tables, p_tables = _tables(nx, p_axis.tobytes(), expansion.n_min, expansion.n_max)
-    w_cos, w_sin = _key_weights(expansion.coefficients, layout)
-    cos_l, sin_l, cos_k, sin_k = x_tables
-    cos_arg, sin_arg, inverse, rows, cols, reach = p_tables
-    # Row i and its mirror nx - 1 - i share the reach L = x_i of the u
-    # integral, so every table over x is built on the near half alone.
-    near, far = (nx + 1) // 2, nx // 2
-    # At the mirror x = 1 - L, e^{i pi m x} = (-1)^m e^{-i pi m L}: the far
-    # half, written bottom up, takes the parity on both weight matrices and
-    # the opposite sign on the sin one.
-    parity = (1.0 - 2.0 * (np.arange(len(w_cos)) % 2))[:, None]
-    values = np.empty((nx, len(p_axis)))
-    halves = (
-        (values[:near], w_cos, w_sin),
-        (values[::-1][:far], parity * w_cos, -(parity * w_sin)),
+    """W on x = linspace(0, 1, nx) by p_axis, from the boundary terms of the u integral.
+
+    Per half: the pair sums of `_key_sums` (flipped for the far half), two
+    (2 levels x keys) @ (keys x p) products against the folded reciprocals,
+    and in each row tile W = sin(2pL) [C S] @ rhs_re + cos(2pL) [C S] @ rhs_im
+    plus the pole terms, with [C S] = cos and sin(2 pi n L) and the levels'
+    cos and sin columns interleaved. The wall rows (L = 0) are exactly zero.
+    """
+    e = state.expansion
+    x, cs, cos_arg, sin_arg, recip, flip, pole_keys, pole_signs, cols, pole_cos, pole_sin = _tables(
+        nx, p_axis.tobytes(), e.n_min, e.n_max
     )
+    sums = _key_sums(e.coefficients, e.n_min, e.n_max)
+    levels, n_p = len(e.coefficients), len(p_axis)
+    # rhs[part, n, even/odd, p]: rows (n, even/odd) of rhs_re and rhs_im pair
+    # with the interleaved columns of [C S], and each reciprocal product
+    # fills one even/odd slot of every row.
+    rhs = np.empty((2, levels, 2, n_p))
+    rhs_re, rhs_im = rhs.reshape(2, 2 * levels, n_p)
+    even_odd = [rhs[:, :, k].reshape(2 * levels, n_p) for k in (0, 1)]
+    near, far = (nx + 1) // 2, nx // 2
+    values = np.empty((nx, n_p))
     # Row tiles whose (rows x p) block fits _TILE_BYTES, so the product
-    # buffer stays in cache; it and the key weights serve both halves.
-    step = min(near, max(1, _TILE_BYTES // (8 * len(p_axis))))
-    product = np.empty((step, len(p_axis)))
-    weights = np.empty((near, w_cos.shape[1]))
-    scratch = np.empty((step, w_cos.shape[1]))
-    for out, a, b in halves:
-        c = np.matmul(cos_l[: len(out)], a, out=weights[: len(out)])  # c_key(x)
-        c += sin_l[: len(out)] @ b
+    # buffer stays in cache; it serves both halves.
+    step = min(near, max(1, _TILE_BYTES // (8 * n_p)))
+    product = np.empty((step, n_p))
+    # Row i and its mirror nx - 1 - i share the reach L = x_i; the far half,
+    # written bottom up, is the near half's kernel with a_n replaced by
+    # conj((-1)^n a_n), which flips the sign of each key's sums.
+    for out, mirror in ((values[:near], False), (values[::-1][:far], True)):
+        if mirror:
+            sums *= flip
+        for k in (0, 1):
+            np.matmul(sums[k].reshape(2 * levels, -1), recip[k], out=even_odd[k])
+        if len(cols):  # each pole key's pair sums, in the row order of rhs
+            poles = sums[..., pole_keys]
+            poles[1] *= pole_signs
+            poles = poles.transpose(1, 2, 0, 3).reshape(2, 2 * levels, -1)
         for i in range(0, len(out), step):
             j = min(i + step, len(out))
-            w, dest, buf, wk = c[i:j], out[i:j], product[: j - i], scratch[: j - i]
-            np.matmul(np.multiply(w, sin_k[i:j], out=wk), inverse, out=buf)
-            np.multiply(cos_arg[i:j], buf, out=dest)
-            np.matmul(np.multiply(w, cos_k[i:j], out=wk), inverse, out=buf)
-            buf *= sin_arg[i:j]
+            dest, buf, c = out[i:j], product[: j - i], cs[i:j]
+            np.multiply(sin_arg[i:j], np.matmul(c, rhs_re, out=buf), out=dest)
+            np.matmul(c, rhs_im, out=buf)
+            buf *= cos_arg[i:j]
             dest += buf
-            dest[:, cols] += w[:, rows] * reach[:, i:j].T
-            dest /= math.pi
+            if len(cols):
+                dest[:, cols] += pole_cos[i:j] * (c @ poles[0]) + pole_sin[i:j] * (c @ poles[1])
+    values[[0, -1]] = 0.0  # L = 0 at both walls
     meta = {
         "axis1": "position [L]",
         "axis2": "momentum [hbar/L]",
         "values": "Wigner quasiprobability [1/hbar]",
-        "captured_norm": expansion.captured_norm,
+        "captured_norm": e.captured_norm,
     }
-    return WignerField(np.linspace(0.0, 1.0, nx), p_axis, values, meta)
+    return WignerField(x, p_axis, values, meta)
 
 
-def _key_weights(coefficients: np.ndarray, layout: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The weight matrices of c_key(x) for these coefficients, on a layout of `_tables`.
+def _key_sums(coefficients: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
+    """The coefficient pairs summed by key and folded onto keys k >= 0: (2, 2, levels, 2 n_max + 1).
 
-    Every pair c = conj(a_n) a_m adds w Re(c e^{i pi e x}) to key k for
-    (k, e, w) in (s, d, 1), (-s, -d, 1) and (d, s, -2). So
-    c_key(x) = sum_e cos(pi e x) w_cos[e, key] + sin(pi e x) w_sin[e, key]
-    over 0 <= e <= 2 n_max, two fixed real matrices. The layout holds each
-    (pair, key kind)'s bincount slot, its factors w and -w sign(e), and the
-    matrix shape; only the two bincounts depend on the coefficients.
+    P[n, k] = sum_m conj(a_n) a_m ([n + m = k] - [n - m = k]) over the keys
+    -2 n_max..2 n_max is scattered through two skewed views of one array (row
+    n's pair m lands in column n + m, or n - m). M- is M+ with the keys
+    negated, so its sums are P[n, -k], and with S = P[k] + P[-k] and
+    D = P[k] - P[-k] on k >= 0 the result is [[Re S, Im S], [-Im D, Re D]]:
+    the left factors of the even and of the odd reciprocals of `_tables`.
     """
-    slot, cos_factor, sin_factor, shape = layout
-    c = np.tile((np.conj(coefficients)[:, None] * coefficients[None, :]).ravel(), 3)
-    size = shape[0] * shape[1]
-    w_cos = np.bincount(slot, cos_factor * c.real, size).reshape(shape)
-    w_sin = np.bincount(slot, sin_factor * c.imag, size).reshape(shape)
-    return w_cos, w_sin
+    levels, width = len(coefficients), 4 * n_max + 1
+    c = np.conj(coefficients)[:, None] * coefficients
+    pairs = np.stack([c.real, c.imag])
+    scatter = np.zeros((2, levels, width))
+
+    def by_key(first: int) -> np.ndarray:
+        # [part, i, j] -> scatter[part, i, first + i + j]
+        return np.ndarray(
+            pairs.shape, buffer=scatter, offset=8 * first, strides=(8 * levels * width, 8 * (width + 1), 8)
+        )
+
+    by_key(2 * (n_min + n_max))[...] += pairs  # key n + m
+    by_key(n_min + n_max)[...] -= pairs[..., ::-1]  # key n - m
+    pos, neg = scatter[..., 2 * n_max :], scatter[..., 2 * n_max :: -1]
+    sums = np.empty((2, *pos.shape))
+    np.add(pos, neg, out=sums[0])
+    np.subtract(neg[1], pos[1], out=sums[1, 0])
+    np.subtract(pos[0], neg[0], out=sums[1, 1])
+    return sums
 
 
 @functools.lru_cache(maxsize=4)
 def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
-    """Everything a field needs that no state changes: (layout, x tables, p tables), read-only.
+    """Everything a field needs that no state changes, read-only.
 
-    p_bytes is the p axis as float64 bytes, so any p axis of `_field`
-    keys an entry. The layout is that of `_key_weights`.
-    The x tables are cos and sin(pi m L) on the ceil(nx/2) near rows and
-    their key columns cos(kappa L) and sin(kappa L). The p tables are cos and
-    sin(2pL) on the near rows, 1/(kappa + 2p), and the pole terms: the
-    (key, p) indices within POLE_GAP of kappa + 2p = 0 and their reach
-    L sinc((kappa + 2p) L) on the near rows.
+    p_bytes is the p axis as float64 bytes, so any p axis of `_field` keys an
+    entry. In order: the x axis; [C S], cos and sin(2 pi n L) on the
+    ceil(nx/2) near rows with each level's two columns side by side; cos and
+    sin(2pL) on the near rows; the reciprocals 1/(pi (pi k + 2p)) folded onto
+    k >= 0, even (1/k+ + 1/k-, with k = 0 once) and odd (1/k+ - 1/k-); the
+    far half's signs of the pair sums, (-1)^k [[1, -1], [-1, 1]]; and the
+    poles of `_key_reciprocals`: their |key|, sign(key) and p column, and
+    cos and sin(pi k L) times their reach over pi.
     """
+    x = np.linspace(0.0, 1.0, nx)
+    half = x[: (nx + 1) // 2]
     n = np.arange(n_min, n_max + 1)
-    s = np.add.outer(n, n).ravel()
-    d = np.subtract.outer(n, n).ravel()
-    keys, col = np.unique(np.concatenate([s, -s, d]), return_inverse=True)
-    e = np.concatenate([d, -d, s])
-    w = np.repeat([1.0, 1.0, -2.0], len(s))
-    half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
-    cos_l, sin_l = _cos_sin(half, math.pi * np.arange(2 * n_max + 1))
+    cs = np.empty((len(half), len(n), 2))
+    angle = np.outer(half, 2.0 * math.pi * n)
+    np.cos(angle, out=cs[..., 0])
+    np.sin(angle, out=cs[..., 1])
     p_axis = np.frombuffer(p_bytes)
+    recip, keys, cols, pole_cos, pole_sin = _key_reciprocals(n_max, p_axis, half)
+    pos, neg = recip[2 * n_max :], recip[2 * n_max :: -1]
+    folded = np.empty((2, *pos.shape))
+    np.add(pos, neg, out=folded[0])
+    folded[0, 0] = pos[0]
+    np.subtract(pos, neg, out=folded[1])
+    folded /= math.pi
+    parity = 1.0 - 2.0 * (np.arange(2 * n_max + 1) % 2)
+    tables = (
+        x,
+        cs.reshape(len(half), -1),
+        *_cos_sin(half, 2.0 * p_axis),
+        folded,
+        np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None] * parity,
+        np.abs(keys),
+        np.sign(keys).astype(float),
+        cols,
+        pole_cos / math.pi,
+        pole_sin / math.pi,
+    )
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _key_reciprocals(n_max: int, p_axis: np.ndarray, half: np.ndarray) -> tuple:
+    """1/(pi k + 2p) over keys k = -2 n_max..2 n_max (rows) and p_axis (columns), and its poles.
+
+    Entries within POLE_GAP of a pole are zero; keys lie pi apart, so no
+    momentum sits within POLE_GAP of two of them. Returns the reciprocals,
+    each pole's key and p column, and cos and sin(pi k L) times its reach
+    sin((pi k + 2p) L)/(pi k + 2p) = L sinc on the near rows `half`
+    (rows x poles): the pair terms of that key at that momentum are summed
+    directly with these.
+    """
+    keys = np.arange(-2 * n_max, 2 * n_max + 1)
     denom = math.pi * keys[:, None] + 2.0 * p_axis
     pole = np.abs(denom) < POLE_GAP
-    # Keys lie pi apart, so no momentum sits within POLE_GAP of two of them.
     rows, cols = np.nonzero(pole)
-    layout = (np.abs(e) * len(keys) + col, w, -w * np.sign(e))
-    x_tables = (cos_l, sin_l, cos_l[:, np.abs(keys)], sin_l[:, np.abs(keys)] * np.sign(keys))
-    p_tables = (
-        *_cos_sin(half, 2.0 * p_axis),
-        np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole),
-        rows,
-        cols,
-        half * np.sinc(np.outer(denom[rows, cols], half) / math.pi),
-    )
-    for arr in (*layout, *x_tables, *p_tables):
-        arr.setflags(write=False)
-    return (*layout, (2 * n_max + 1, len(keys))), x_tables, p_tables
+    reach = half[:, None] * np.sinc(half[:, None] * denom[rows, cols] / math.pi)
+    pole_cos, pole_sin = _cos_sin(half, math.pi * keys[rows])
+    recip = np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole)
+    return recip, keys[rows], cols, pole_cos * reach, pole_sin * reach
 
 
 def _cos_sin(axis: np.ndarray, freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,9 +351,7 @@ def fringe_spacing(state: EvolvedState) -> float | None:
     coverage check: it protects the marginals of a whole field, and one
     column has none.
     """
-    p_axis = _p_axis(default_p_max(state.packet), DEFAULT_GRID)
-    x = np.linspace(0.0, 1.0, DEFAULT_GRID)
-    w = _column(state, DEFAULT_GRID, float(p_axis[np.argmin(np.abs(p_axis))]))
+    x, w = _column(state, DEFAULT_GRID, _zero_momentum(default_p_max(state.packet)))
     mask = np.abs(x - state.packet.x_bar) <= FRINGE_WINDOW
     x, w = x[mask], w[mask]
     flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
@@ -307,69 +361,74 @@ def fringe_spacing(state: EvolvedState) -> float | None:
     return 2.0 * float(np.mean(np.diff(crossings)))
 
 
-def _column(state: EvolvedState, nx: int, p: float) -> np.ndarray:
-    """W(x, p) at one momentum p on x = linspace(0, 1, nx), from the boundary terms of the u integral.
+@functools.lru_cache(maxsize=4)
+def _zero_momentum(p_max: float) -> float:
+    """The momentum nearest 0 on the default grid's p axis over [-p_max, p_max]."""
+    p_axis = _p_axis(p_max, DEFAULT_GRID)
+    return float(p_axis[np.argmin(np.abs(p_axis))])
+
+
+def _column(state: EvolvedState, nx: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, W(x, p)) at one momentum p on x = linspace(0, 1, nx), from the boundary terms of the u integral.
 
     At x = L <= 1/2 the integral of each pair closes at u = +-L, and
     W = (1/pi) Im[sum_n conj(a_n) ((M+ a)_n e^{i(2p + 2 pi n) L}
     + (M- a)_n e^{i(2p - 2 pi n) L})] with M+-[n, m] = 1/(2p +- pi(n + m))
     - 1/(2p +- pi(n - m)); at x = 1 - L the same holds with a_n replaced by
-    conj((-1)^n a_n). So a column costs two (levels x levels) products and one
-    (rows x levels) product per half, where `_field` forms every key weight
-    of every row. The reciprocals within POLE_GAP of a pole are zero in M+-
-    and their pair terms are summed directly as c L sinc, as in `_field`; the
-    wall rows (L = 0) are exactly zero.
+    conj((-1)^n a_n). So a column costs one (levels x levels) product per
+    matrix and one (rows x levels) product per half, where `_field` forms the
+    reciprocals of every key and momentum. The reciprocals within POLE_GAP
+    of a pole are zero in M+- and the pairs on that key are summed directly,
+    as in `_field`; the wall rows (L = 0) are exactly zero. The x axis is
+    the entry's, read-only.
     """
     e = state.expansion
-    plus, minus, phases, parity, pole_n, pole_m = _column_tables(nx, p, e.n_min, e.n_max)
+    x, matrices, phases, parity = _column_tables(nx, p, e.n_min, e.n_max)
     # Columns: the near half's coefficients and the far half's conj((-1)^n a_n).
     a = np.stack([e.coefficients, np.conj(parity * e.coefficients)], axis=1)
     b = np.conj(a)
-    weights = np.concatenate([b * (plus @ a), b * (minus @ a), b[pole_n] * a[pole_m]])
+    weights = np.tile(b, (len(matrices) // len(b), 1)) * (matrices @ a)
     near = (phases @ weights).imag
     near[0] = 0.0  # L = 0 at both walls
     values = np.empty(nx)
     values[: len(near)] = near[:, 0]
     values[::-1][: nx // 2] = near[: nx // 2, 1]
-    return values / math.pi
+    return x, values / math.pi
 
 
 @functools.lru_cache(maxsize=4)
 def _column_tables(nx: int, p: float, n_min: int, n_max: int) -> tuple:
-    """What `_column` needs that no state changes: (M+, M-, phases, parity, pole pairs), read-only.
+    """What `_column` needs that no state changes: (x, matrices, phases, parity), read-only.
 
-    The phases are e^{i(2p +- 2 pi n) L} on the ceil(nx/2) near rows, then,
-    for each pair term (n, m) within POLE_GAP of its pole, i sign
-    e^{i pi e L} L sinc((kappa + 2p) L): that term is
-    sign Re(conj(a_n) a_m e^{i pi e L}) L sinc, for (kappa, e, sign) in
-    (s, d, 1), (-s, -d, 1), (d, s, -1) and (-d, -s, -1).
+    The matrices are M+ and M-, then for each pole of `_key_reciprocals`
+    (at most one at one p) the pairs on its key k, [n + m = k] - [n - m = k],
+    and on -k. The phases are their near-row factors: e^{i(2p +- 2 pi n) L},
+    then i e^{-i pi k L} times the reach and e^{+-2 i pi n L}, since a pole
+    pair term is Re(conj(a_n) a_m e^{i pi (2n - k) L}) times the reach.
     """
+    x = np.linspace(0.0, 1.0, nx)
+    half = x[: (nx + 1) // 2]
     n = np.arange(n_min, n_max + 1)
     s = np.add.outer(n, n)
     d = np.subtract.outer(n, n)
-    half = np.linspace(0.0, 1.0, nx)[: (nx + 1) // 2]
-    recips, pole_n, pole_m, pole_phase = [], [], [], []
-    for key, e, sign in ((s, d, 1.0), (-s, -d, 1.0), (d, s, -1.0), (-d, -s, -1.0)):
-        denom = math.pi * key + 2.0 * p
-        pole = np.abs(denom) < POLE_GAP
-        recips.append(np.divide(1.0, denom, out=np.zeros_like(denom), where=~pole))
-        i, j = np.nonzero(pole)
-        reach = half * np.sinc(denom[pole][:, None] * half / math.pi)
-        pole_n.append(i)
-        pole_m.append(j)
-        pole_phase.append(1j * sign * reach.T * np.exp(1j * math.pi * np.outer(half, e[pole])))
-    phases = np.hstack([
-        np.exp(1j * np.outer(half, 2.0 * p + 2.0 * math.pi * n)),
-        np.exp(1j * np.outer(half, 2.0 * p - 2.0 * math.pi * n)),
-        *pole_phase,
-    ])
+    recip, keys, _, pole_cos, pole_sin = _key_reciprocals(n_max, np.array([p]), half)
+    on_key = np.concatenate([keys, -keys])[:, None, None]
+    wave = np.exp(1j * np.outer(half, 2.0 * math.pi * n))
+    pole_phase = (pole_sin + 1j * pole_cos)[:, :, None]
     tables = (
-        recips[0] - recips[2],
-        recips[1] - recips[3],
-        phases,
+        x,
+        np.concatenate([
+            recip[2 * n_max + s, 0] - recip[2 * n_max + d, 0],
+            recip[2 * n_max - s, 0] - recip[2 * n_max - d, 0],
+            ((s == on_key).astype(float) - (d == on_key)).reshape(-1, len(n)),
+        ]),
+        np.hstack([
+            np.exp(1j * np.outer(half, 2.0 * p + 2.0 * math.pi * n)),
+            np.exp(1j * np.outer(half, 2.0 * p - 2.0 * math.pi * n)),
+            (pole_phase * wave[:, None]).reshape(len(half), -1),
+            (pole_phase * np.conj(wave)[:, None]).reshape(len(half), -1),
+        ]),
         1.0 - 2.0 * (n % 2),
-        np.concatenate(pole_n),
-        np.concatenate(pole_m),
     )
     for arr in tables:
         arr.setflags(write=False)

@@ -162,8 +162,9 @@ class TestExitCodes:
 
     def test_allocation_failure_is_exit_two(self, tmp_path, capsys, monkeypatch):
         # numpy's text for `wigner --nx 100000000`, whose first large block past
-        # the 0.75 GiB x grid is the angle array of cos and sin(pi m L): 5e7 near rows by 63.
-        text = "Unable to allocate 23.5 GiB for an array with shape (50000000, 63) and data type float64"
+        # the 0.75 GiB x grid is the table of cos and sin(2 pi n L): 5e7 near rows
+        # by 29 levels by 2.
+        text = "Unable to allocate 21.6 GiB for an array with shape (50000000, 29, 2) and data type float64"
 
         def too_large(*args, **kwargs):
             raise MemoryError(text)

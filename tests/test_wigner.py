@@ -35,7 +35,6 @@ from boxrevive.wigner import (
     _column,
     _column_tables,
     _field,
-    _key_weights,
     _tables,
     default_p_max,
     marginal_errors,
@@ -418,10 +417,10 @@ class TestClosedForm:
         return expansion, cfg
 
     # Fixed cases, not sampled: per_pair_field takes about a second per 500
-    # cells at 127 levels. Near x = 1/2 the angles pi m L reach 384 pi / 2 = 603,
+    # cells at 127 levels. Near x = 1/2 the angles 2 pi n L reach 192 pi = 603,
     # and 2pL reaches p_max = 700 widen (2100 in the wide case). The trig
-    # tables round each angle, so the error grows with it: measured 2.8e-13
-    # on the middle row of 512^2 and 1.8e-15 on the wide rows.
+    # tables round each angle, so the error grows with it: measured 1.6e-13
+    # on the middle row of 512^2 and 1.7e-15 on the wide rows.
     @pytest.mark.parametrize("t, nx, n_p, widen, rows", [
         (0.25, 512, 512, 1.0, [255]),
         (0.3, 33, 17, 3.0, [0, 8, 15, 16, 17, 24]),
@@ -448,10 +447,17 @@ class TestClosedForm:
         assert column.values[row, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_column_equals_grid_column(self, states):
+        # Every column of an odd-n_p grid, whose p = 0 holds the d = 0 pole:
+        # the field on that one momentum and the closed-form column both
+        # match the grid's column, so the two pole paths agree.
         for nx in (16, 17, 256):  # even sizes have no middle row
             field = wigner(states["cat"], nx=nx, n_p=33)
-            column = _field(states["cat"], nx, field.p_axis[[16]])
-            assert np.max(np.abs(column.values[:, 0] - field.values[:, 16])) <= 1e-12
+            assert field.p_axis[16] == 0.0
+            for j, p in enumerate(field.p_axis):
+                one = _field(states["cat"], nx, field.p_axis[[j]]).values[:, 0]
+                _, column = _column(states["cat"], nx, float(p))
+                assert np.max(np.abs(one - field.values[:, j])) <= 1e-12
+                assert np.max(np.abs(column - field.values[:, j])) <= 1e-12
 
     def test_fringe_spacing_reads_the_column_outside_the_field_tables(self, states):
         # fringe_spacing reads the default grid's column nearest p = 0 from
@@ -467,8 +473,9 @@ class TestClosedForm:
         info = _tables.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         assert _column_tables.cache_info().misses == 1
-        column = _column(state, DEFAULT_GRID, float(field.p_axis[j]))
+        x, column = _column(state, DEFAULT_GRID, float(field.p_axis[j]))
         assert _column_tables.cache_info().hits == 1
+        assert x.tobytes() == field.x_axis.tobytes()
         assert np.max(np.abs(column - zero_column(state).values[:, 0])) <= 1e-12
         assert np.max(np.abs(column - field.values[:, j])) <= 1e-12
         expected = crossing_spacing(field.x_axis, field.values[:, j], state.packet.x_bar)
@@ -488,8 +495,9 @@ class TestClosedForm:
         # Within POLE_GAP of p = -kappa/2 the reciprocals of that key are
         # dropped from M+- and their pair terms summed directly.
         p = -0.5 * math.pi * key + offset
-        column = _column(states[case], 33, p)
-        reference = per_pair_field(states[case], np.linspace(0.0, 1.0, 33), [p])
+        x, column = _column(states[case], 33, p)
+        assert x.tobytes() == np.linspace(0.0, 1.0, 33).tobytes()
+        reference = per_pair_field(states[case], x, [p])
         assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
 
     @pytest.mark.parametrize("nx", [2, 3, 256, 257])
@@ -500,7 +508,7 @@ class TestClosedForm:
         ("dephased", 50.0),
     ])
     def test_closed_form_column_matches_per_pair_sum(self, states, case, p, nx):
-        column = _column(states[case], nx, p)
+        _, column = _column(states[case], nx, p)
         assert column.shape == (nx,)
         reference = per_pair_field(states[case], np.linspace(0.0, 1.0, nx), [p])
         assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
@@ -513,7 +521,7 @@ class TestClosedForm:
         state = evolve(expansion, 0.25, cfg)
         rows = [nx // 2 - 2, nx // 2 - 1, nx // 2, nx // 2 + 1]
         reference = per_pair_field(state, np.linspace(0.0, 1.0, nx)[rows], [p])
-        assert np.max(np.abs(_column(state, nx, p)[rows] - reference[:, 0])) <= 1e-12
+        assert np.max(np.abs(_column(state, nx, p)[1][rows] - reference[:, 0])) <= 1e-12
 
     def test_fringe_spacing_on_a_pole(self):
         # p_max = 255 pi / 2 puts the default grid's momentum nearest 0 at
@@ -525,7 +533,7 @@ class TestClosedForm:
         p_axis = np.linspace(-default_p_max(packet), default_p_max(packet), DEFAULT_GRID)
         p = float(p_axis[np.argmin(np.abs(p_axis))])
         assert abs(2.0 * p + math.pi) < 1e-13
-        column = _column(state, DEFAULT_GRID, p)
+        column = _column(state, DEFAULT_GRID, p)[1]
         reference = per_pair_field(state, np.linspace(0.0, 1.0, DEFAULT_GRID), [p])
         assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
         reference_column = zero_column(state)
@@ -551,54 +559,35 @@ def cold(build):
     return build().values
 
 
-def uncached_key_weights(expansion):
-    """The key weights of `_key_weights`, with the pair -> key layout rebuilt here."""
-    a = expansion.coefficients
-    n = expansion.n_values
-    c = np.tile((np.conj(a)[:, None] * a[None, :]).ravel(), 3)
-    s = np.add.outer(n, n).ravel()
-    d = np.subtract.outer(n, n).ravel()
-    keys, col = np.unique(np.concatenate([s, -s, d]), return_inverse=True)
-    e = np.concatenate([d, -d, s])
-    w = np.repeat([1.0, 1.0, -2.0], len(s))
-    slot = np.abs(e) * len(keys) + col
-    shape = (2 * int(n[-1]) + 1, len(keys))
-    size = shape[0] * shape[1]
-    w_cos = np.bincount(slot, w * c.real, size).reshape(shape)
-    w_sin = np.bincount(slot, -w * np.sign(e) * c.imag, size).reshape(shape)
-    return keys, w_cos, w_sin
+def assert_read_only(entry):
+    for arr in entry:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 class TestKernelTables:
-    """The cached per-grid table set."""
+    """The cached per-grid table set: one read-only entry per (nx, p axis, n_min, n_max)."""
 
-    def test_key_layout_is_cached_per_level_range(self):
+    def test_key_reciprocals_are_cached_per_level_range(self):
+        # One grid and p axis, two level ranges: the reciprocals span the keys
+        # -2 n_max..2 n_max, so n_max = 31 and 32 take an entry each.
         cfg = SystemConfig(0.0, truncation_epsilon=1e-6)
         expansions = [expand(PacketSpec(0.5, 0.1, p_bar), cfg) for p_bar in (50.0, 52.0)]
         assert [(e.n_min, e.n_max) for e in expansions] == [(3, 31), (4, 32)]
-        p_bytes = np.linspace(-150.0, 150.0, 256).tobytes()
+        states = [evolve(expansion, 0.3, cfg) for expansion in expansions]
+        reference = [cold(lambda: wigner(s, 256, 256, p_max=150.0)) for s in states]
         _tables.cache_clear()
-        for expansion in expansions * 2:  # interleaved: miss, miss, hit, hit
-            e = evolve(expansion, 0.3, cfg).expansion
-            layout, (cos_l, sin_l, cos_k, sin_k), _ = _tables(256, p_bytes, e.n_min, e.n_max)
-            keys, *want = uncached_key_weights(e)
-            for got, w in zip(_key_weights(e.coefficients, layout), want):
-                assert got.dtype == w.dtype and got.shape == w.shape
-                assert got.tobytes() == w.tobytes()
-            # The key columns are those of the keys rebuilt here.
-            assert cos_k.tobytes() == cos_l[:, np.abs(keys)].tobytes()
-            assert sin_k.tobytes() == (sin_l[:, np.abs(keys)] * np.sign(keys)).tobytes()
+        for i, s in enumerate(states * 2):  # interleaved: miss, miss, hit, hit
+            assert wigner(s, 256, 256, p_max=150.0).values.tobytes() == reference[i % 2].tobytes()
         info = _tables.cache_info()
-        assert (info.hits, info.misses) == (2, 2)
-        for arr in _tables(256, p_bytes, 3, 31)[0][:-1]:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        p_bytes = np.linspace(-150.0, 150.0, 256).tobytes()
+        for e in expansions:
+            assert_read_only(_tables(256, p_bytes, e.n_min, e.n_max))
 
     def test_x_tables_are_cached_per_grid_and_level_range(self):
-        # Both packets reach n_max = 31, so only n_min tells their tables apart:
-        # levels 3..31 give every key in -62..62, levels 12..31 leave gaps.
-        # (Levels 1..31 would not do: their merged keys equal those of 3..31.)
+        # Both packets reach n_max = 31, so only n_min tells their tables apart.
         states = two_level_range_states()
         grids = (33, 256, 257, 512)
         p_axis = np.linspace(-150.0, 150.0, 256)
@@ -619,10 +608,7 @@ class TestKernelTables:
                 assert build(s, nx).values.tobytes() == reference[nx, i % 2].tobytes()
         info = _tables.cache_info()
         assert (info.hits, info.misses) == (8, 8)
-        for arr in _tables(256, p_axis.tobytes(), 3, 31)[1]:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 0.0
+        assert_read_only(_tables(256, p_axis.tobytes(), 3, 31))
 
     def test_p_tables_are_cached_per_grid_p_axis_and_level_range(self):
         states = two_level_range_states()
@@ -632,7 +618,7 @@ class TestKernelTables:
             # p axis, so only the level range tells their entries apart.
             lambda s: wigner(s, 256, 256, p_max=150.0),
             zero_column,
-            lambda s: wigner(s, 257, 257),
+            lambda s: wigner(s, 257, 257),  # p = 0 holds the d = 0 pole
         )
         reference = [[cold(lambda: build(s)) for build in builds] for s in states]
         _tables.cache_clear()
@@ -643,18 +629,18 @@ class TestKernelTables:
                     assert build(s).values.tobytes() == values.tobytes()
         info = _tables.cache_info()
         assert (info.hits, info.misses) == (8, 8)
-        p_axis = np.linspace(-150.0, 150.0, 256)
-        for arr in _tables(256, p_axis.tobytes(), 12, 31)[2]:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
+        p_axis = np.linspace(-default_p_max(states[1].packet), default_p_max(states[1].packet), 257)
+        entry = _tables(257, p_axis.tobytes(), 12, 31)
+        assert _tables.cache_info().hits == 9
+        assert_read_only(entry)
 
     @pytest.mark.parametrize("grid", [256, 512])
     def test_cold_build_holds_the_entry_and_two_blocks(self, exp_moderate, cfg_moderate, grid):
         # Past the entry itself a cold build holds at most two (near x p)
-        # float blocks: each trig table's sin is taken in place over its
-        # angles, and 1/(kappa + 2p) needs the (key x p) denominators and
-        # their pole mask. Measured 1.46 blocks at 256^2 and 0.67 at 512^2.
+        # float blocks: the sin of cos and sin(2pL) is taken in place over
+        # its angles, and the reciprocals need the (key x p) denominators,
+        # their pole mask and the unfolded reciprocals. Measured 1.13 blocks
+        # at 256^2 and 0.56 at 512^2.
         e = evolve(exp_moderate, 500.0, cfg_moderate).expansion
         p_axis = np.linspace(-150.0, 150.0, grid)
         _tables.cache_clear()
@@ -664,16 +650,18 @@ class TestKernelTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        entry_bytes = sum(a.nbytes for part in entry for a in part if isinstance(a, np.ndarray))
+        entry_bytes = sum(a.nbytes for a in entry)
         block = 8 * ((grid + 1) // 2) * grid
         assert peak <= entry_bytes + 2 * block
 
     @pytest.mark.parametrize("grid", [512, 1024])
     def test_warm_field_holds_no_half_grid_temporary(self, exp_moderate, cfg_moderate, grid):
-        # Past the field itself a warm call holds the key weights of one half
-        # (near rows x keys), their sin-table product while they form, and about
-        # one tile: the product buffer, its key-weight scratch and the small
-        # per-state arrays. Measured 1.05 MiB at 512^2 and 1.51 MiB at 1024^2,
+        # Past the field itself a warm call holds the (4 levels x p) products
+        # of one half's pair sums with the reciprocals, one tile's product
+        # buffer and the small per-state arrays. The bound, 3 _TILE_BYTES plus
+        # those products (1,261,568 B at 512^2, 1,736,704 B at 1024^2 for
+        # 29 levels), lies under the 1,298,432 B and 1,810,432 B that the key
+        # form held to. Measured 0.89 MiB at 512^2 and 1.35 MiB at 1024^2,
         # against 2.86 MiB and 9.60 MiB when each half held two half-grid
         # temporaries (1 MiB and 4 MiB each).
         state = evolve(exp_moderate, 500.0, cfg_moderate)
@@ -684,7 +672,5 @@ class TestKernelTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        e = state.expansion
-        keys = _tables(grid, field.p_axis.tobytes(), e.n_min, e.n_max)[1][2].shape[1]
-        half_weights = 8 * ((grid + 1) // 2) * keys
-        assert peak - field.values.nbytes <= 3 * _TILE_BYTES + 2 * half_weights
+        rhs = 8 * 4 * len(state.expansion.coefficients) * grid
+        assert peak - field.values.nbytes <= 3 * _TILE_BYTES + rhs
