@@ -8,9 +8,9 @@ forms c G_k conj(c) of the coefficient vector c. The matrices G_k depend only
 on the packet and its level range, so they are built once and cached; a report
 then costs one evolve and a few (levels x levels) products, with no grid. The
 optional fringe-spacing estimate is `wigner.fringe_spacing`, read from the
-column of the default Wigner grid nearest p = 0 (its closed form, with no
-field built), and is reported alongside the moment-based value, never mixed
-into it. The sensitivity curve is read from `sensitivity_reports`: each
+column of the default Wigner grid nearest p = 0 (the field's kernel on that
+one momentum, with no whole field built), and is reported alongside the
+moment-based value, never mixed into it. The sensitivity curve is read from `sensitivity_reports`: each
 report's q_squared with its ratio delta = a_q / a(q2=0, t=0.25).
 """
 

@@ -14,9 +14,11 @@ conj((-1)^n a_n). The field is exact to rounding and real by construction.
 M+- reach p only through the reciprocals 1/(pi k + 2p) of the keys
 k = -2 n_max..2 n_max, so u+- are the pair sums
 P[n, k] = sum_m conj(a_n) a_m ([n + m = k] - [n - m = k]) times the (key x p)
-reciprocals; u- reads P[n, -k]. Folding k with -k, a half's real and
-imaginary parts take two (2 levels x (2 n_max + 1)) @ ((2 n_max + 1) x p)
-products against the even and odd reciprocals, and then in each row tile
+reciprocals; u- reads P[n, -k]. Each P[n, k] holds at most two pairs, so
+the sums are one gather of conj(a_n) a_m through a cached index table.
+Folding k with -k, a half's real and imaginary parts take two
+(2 levels x (2 n_max + 1)) @ ((2 n_max + 1) x p) products against the even
+and odd reciprocals, and then in each row tile
 W = sin(2pL) [C S] @ rhs_re + cos(2pL) [C S] @ rhs_im, with [C S] the
 (rows x 2 levels) cos and sin(2 pi n L). So the products over the grid have
 inner dimension 2 levels (58 at 29 levels) and no (rows x key) weights.
@@ -33,13 +35,13 @@ ulp. Each half is written into the field in place.
 
 Everything a field needs that no state changes is one read-only cache
 entry per (nx, p axis, n_min, n_max), at most four entries: the x axis,
-[C S], cos and sin(2pL), the folded reciprocals with 1/pi folded in, the far
-half's signs and the pole terms. Both trig tables are np.cos and np.sin of
-their rounded angle arrays, taken once per entry, so a cell's rounding error
-grows with its largest angle |2 pi n L| or |2pL|. At levels 3..31 an entry
-holds 0.85 MB at 256 x 256, 2.7 MB at 512 x 512 and 9.7 MB at 1024 x 1024.
-So a call does one lookup, the state's pair sums and, per half, the two
-reciprocal products and the tile products.
+[C S], cos and sin(2pL), the pair sums' index table, the folded reciprocals
+with 1/pi folded in, the far half's signs and the pole terms. Both trig
+tables are np.cos and np.sin of their rounded angle arrays, taken once per
+entry, so a cell's rounding error grows with its largest angle |2 pi n L| or
+|2pL|. At levels 3..31 an entry holds 0.89 MB at 256 x 256, 2.8 MB at
+512 x 512 and 9.8 MB at 1024 x 1024. So a call does one lookup, the state's
+pair sums and, per half, the two reciprocal products and the tile products.
 
 Each half is built in row tiles whose (rows x p) block fits
 wavepacket._TILE_BYTES (256 KiB; 64 rows at n_p = 512): both products of a
@@ -48,13 +50,8 @@ terms are applied straight into the field. So a call holds the field plus
 one tile and one half's (4 levels x p) reciprocal products: its tracemalloc
 peak past the field is 0.94 MB at 512 x 512 and 1.4 MB at 1024 x 1024.
 
-The one column that fringe_spacing reads takes the same closed form at one
-p through the (levels x levels) matrices M+- themselves (`_column`), which
-is cheaper there than the field's reciprocal products: 28 us a column
-against 88 us for `_field` on a one-point p axis (2-vCPU Xeon). Its state-free part is its
-own read-only cache entry per (nx, p, n_min, n_max), 0.13 MB at levels
-3..31 and 256 rows. Both entries take their reciprocals and poles from
-`_key_reciprocals`.
+The one column that fringe_spacing reads is `_field` on a one-point p axis,
+with an entry of its own in the same cache.
 
 The result is a WignerField, a fields.Field2D with axis1 = x and axis2 = p
 whose meta holds the axis labels and the captured norm; it is exported as is.
@@ -142,10 +139,10 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     cos and sin columns interleaved. The wall rows (L = 0) are exactly zero.
     """
     e = state.expansion
-    x, cs, cos_arg, sin_arg, recip, flip, pole_keys, pole_signs, cols, pole_cos, pole_sin = _tables(
+    x, cs, cos_arg, sin_arg, index, recip, flip, pole_keys, pole_signs, cols, pole_cos, pole_sin = _tables(
         nx, p_axis.tobytes(), e.n_min, e.n_max
     )
-    sums = _key_sums(e.coefficients, e.n_min, e.n_max)
+    sums = _key_sums(e.coefficients, index)
     levels, n_p = len(e.coefficients), len(p_axis)
     # rhs[part, n, even/odd, p]: rows (n, even/odd) of rhs_re and rhs_im pair
     # with the interleaved columns of [C S], and each reciprocal product
@@ -190,34 +187,31 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     return WignerField(x, p_axis, values, meta)
 
 
-def _key_sums(coefficients: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
+def _key_sums(coefficients: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The coefficient pairs summed by key and folded onto keys k >= 0: (2, 2, levels, 2 n_max + 1).
 
     P[n, k] = sum_m conj(a_n) a_m ([n + m = k] - [n - m = k]) over the keys
-    -2 n_max..2 n_max is scattered through two skewed views of one array (row
-    n's pair m lands in column n + m, or n - m). M- is M+ with the keys
-    negated, so its sums are P[n, -k], and with S = P[k] + P[-k] and
-    D = P[k] - P[-k] on k >= 0 the result is [[Re S, Im S], [-Im D, Re D]]:
-    the left factors of the even and of the odd reciprocals of `_tables`.
+    -2 n_max..2 n_max. M- is M+ with the keys negated, so its sums are
+    P[n, -k]; on k >= 0, P[n, k] = c[n, k - n] - c[n, n - k] and
+    P[n, -k] = -c[n, n + k] with c[n, m] = conj(a_n) a_m, read as 0 outside
+    the level range. So S = P[k] + P[-k] and D = P[k] - P[-k] are gathered
+    through `index` of `_tables`, the flat positions of those three pairs,
+    and the result is [[Re S, Im S], [-Im D, Re D]]: the left factors of the
+    even and of the odd reciprocals of `_tables`.
     """
-    levels, width = len(coefficients), 4 * n_max + 1
-    c = np.conj(coefficients)[:, None] * coefficients
-    pairs = np.stack([c.real, c.imag])
-    scatter = np.zeros((2, levels, width))
-
-    def by_key(first: int) -> np.ndarray:
-        # [part, i, j] -> scatter[part, i, first + i + j]
-        return np.ndarray(
-            pairs.shape, buffer=scatter, offset=8 * first, strides=(8 * levels * width, 8 * (width + 1), 8)
-        )
-
-    by_key(2 * (n_min + n_max))[...] += pairs  # key n + m
-    by_key(n_min + n_max)[...] -= pairs[..., ::-1]  # key n - m
-    pos, neg = scatter[..., 2 * n_max :], scatter[..., 2 * n_max :: -1]
-    sums = np.empty((2, *pos.shape))
-    np.add(pos, neg, out=sums[0])
-    np.subtract(neg[1], pos[1], out=sums[1, 0])
-    np.subtract(pos[0], neg[0], out=sums[1, 1])
+    levels = len(coefficients)
+    c = np.empty(levels * levels + 1, complex)
+    c[-1] = 0.0  # the pair outside the level range
+    np.multiply(np.conj(coefficients)[:, None], coefficients, out=c[:-1].reshape(levels, levels))
+    pos, diff, neg = c[index]  # the pairs with n + m = k, n - m = k and n - m = -k
+    pos -= diff  # P[n, k]
+    sums = np.empty((2, 2, *index.shape[1:]))
+    np.subtract(pos, neg, out=diff)  # S
+    sums[0, 0] = diff.real
+    sums[0, 1] = diff.imag
+    pos += neg  # D
+    np.subtract(0.0, pos.imag, out=sums[1, 0])  # +0 where D is 0, as P[-k] - P[k] gives
+    sums[1, 1] = pos.real
     return sums
 
 
@@ -228,11 +222,14 @@ def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     p_bytes is the p axis as float64 bytes, so any p axis of `_field` keys an
     entry. In order: the x axis; [C S], cos and sin(2 pi n L) on the
     ceil(nx/2) near rows with each level's two columns side by side; cos and
-    sin(2pL) on the near rows; the reciprocals 1/(pi (pi k + 2p)) folded onto
-    k >= 0, even (1/k+ + 1/k-, with k = 0 once) and odd (1/k+ - 1/k-); the
-    far half's signs of the pair sums, (-1)^k [[1, -1], [-1, 1]]; and the
-    poles of `_key_reciprocals`: their |key|, sign(key) and p column, and
-    cos and sin(pi k L) times their reach over pi.
+    sin(2pL) on the near rows; the (3, levels, 2 n_max + 1) flat positions
+    in c of the pairs c[n, k - n], c[n, n - k] and c[n, n + k] that
+    `_key_sums` gathers, levels**2 for a pair outside the range; the
+    reciprocals 1/(pi (pi k + 2p)) folded onto k >= 0, even (1/k+ + 1/k-,
+    with k = 0 once) and odd (1/k+ - 1/k-); the far half's signs of the pair
+    sums, (-1)^k [[1, -1], [-1, 1]]; and the poles of `_key_reciprocals`:
+    their |key|, sign(key) and p column, and cos and sin(pi k L) times their
+    reach over pi.
     """
     x = np.linspace(0.0, 1.0, nx)
     half = x[: (nx + 1) // 2]
@@ -249,13 +246,17 @@ def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     folded[0, 0] = pos[0]
     np.subtract(pos, neg, out=folded[1])
     folded /= math.pi
-    parity = 1.0 - 2.0 * (np.arange(2 * n_max + 1) % 2)
+    k = np.arange(2 * n_max + 1)
+    # The level index m - n_min of the pairs with n + m = k, n - m = k and n - m = -k.
+    m = np.stack([k - n[:, None], n[:, None] - k, n[:, None] + k]) - n_min
+    index = np.where((m >= 0) & (m < len(n)), np.arange(len(n))[:, None] * len(n) + m, len(n) ** 2)
     tables = (
         x,
         cs.reshape(len(half), -1),
         *_cos_sin(half, 2.0 * p_axis),
+        index,
         folded,
-        np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None] * parity,
+        np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None] * (1.0 - 2.0 * (k % 2)),
         np.abs(keys),
         np.sign(keys).astype(float),
         cols,
@@ -344,14 +345,15 @@ def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
 def fringe_spacing(state: EvolvedState) -> float | None:
     """Interference fringe wavelength along x at p ~ 0.
 
-    Reads the column of the default `wigner` grid nearest p = 0, from its
-    closed form `_column`. Returns twice the mean gap between consecutive zero
-    crossings of W(x, ~0) within +/- FRINGE_WINDOW of the packet's x_bar, or
-    None when fewer than two crossings exist (no resolvable fringes). No
-    coverage check: it protects the marginals of a whole field, and one
-    column has none.
+    Reads the column of the default `wigner` grid nearest p = 0, built alone
+    by `_field` on that one momentum. Returns twice the mean gap between
+    consecutive zero crossings of W(x, ~0) within +/- FRINGE_WINDOW of the
+    packet's x_bar, or None when fewer than two crossings exist (no
+    resolvable fringes). No coverage check: it protects the marginals of a
+    whole field, and one column has none.
     """
-    x, w = _column(state, DEFAULT_GRID, _zero_momentum(default_p_max(state.packet)))
+    column = _field(state, DEFAULT_GRID, np.array([_zero_momentum(default_p_max(state.packet))]))
+    x, w = column.x_axis, column.values[:, 0]
     mask = np.abs(x - state.packet.x_bar) <= FRINGE_WINDOW
     x, w = x[mask], w[mask]
     flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
@@ -366,70 +368,3 @@ def _zero_momentum(p_max: float) -> float:
     """The momentum nearest 0 on the default grid's p axis over [-p_max, p_max]."""
     p_axis = _p_axis(p_max, DEFAULT_GRID)
     return float(p_axis[np.argmin(np.abs(p_axis))])
-
-
-def _column(state: EvolvedState, nx: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x, W(x, p)) at one momentum p on x = linspace(0, 1, nx), from the boundary terms of the u integral.
-
-    At x = L <= 1/2 the integral of each pair closes at u = +-L, and
-    W = (1/pi) Im[sum_n conj(a_n) ((M+ a)_n e^{i(2p + 2 pi n) L}
-    + (M- a)_n e^{i(2p - 2 pi n) L})] with M+-[n, m] = 1/(2p +- pi(n + m))
-    - 1/(2p +- pi(n - m)); at x = 1 - L the same holds with a_n replaced by
-    conj((-1)^n a_n). So a column costs one (levels x levels) product per
-    matrix and one (rows x levels) product per half, where `_field` forms the
-    reciprocals of every key and momentum. The reciprocals within POLE_GAP
-    of a pole are zero in M+- and the pairs on that key are summed directly,
-    as in `_field`; the wall rows (L = 0) are exactly zero. The x axis is
-    the entry's, read-only.
-    """
-    e = state.expansion
-    x, matrices, phases, parity = _column_tables(nx, p, e.n_min, e.n_max)
-    # Columns: the near half's coefficients and the far half's conj((-1)^n a_n).
-    a = np.stack([e.coefficients, np.conj(parity * e.coefficients)], axis=1)
-    b = np.conj(a)
-    weights = np.tile(b, (len(matrices) // len(b), 1)) * (matrices @ a)
-    near = (phases @ weights).imag
-    near[0] = 0.0  # L = 0 at both walls
-    values = np.empty(nx)
-    values[: len(near)] = near[:, 0]
-    values[::-1][: nx // 2] = near[: nx // 2, 1]
-    return x, values / math.pi
-
-
-@functools.lru_cache(maxsize=4)
-def _column_tables(nx: int, p: float, n_min: int, n_max: int) -> tuple:
-    """What `_column` needs that no state changes: (x, matrices, phases, parity), read-only.
-
-    The matrices are M+ and M-, then for each pole of `_key_reciprocals`
-    (at most one at one p) the pairs on its key k, [n + m = k] - [n - m = k],
-    and on -k. The phases are their near-row factors: e^{i(2p +- 2 pi n) L},
-    then i e^{-i pi k L} times the reach and e^{+-2 i pi n L}, since a pole
-    pair term is Re(conj(a_n) a_m e^{i pi (2n - k) L}) times the reach.
-    """
-    x = np.linspace(0.0, 1.0, nx)
-    half = x[: (nx + 1) // 2]
-    n = np.arange(n_min, n_max + 1)
-    s = np.add.outer(n, n)
-    d = np.subtract.outer(n, n)
-    recip, keys, _, pole_cos, pole_sin = _key_reciprocals(n_max, np.array([p]), half)
-    on_key = np.concatenate([keys, -keys])[:, None, None]
-    wave = np.exp(1j * np.outer(half, 2.0 * math.pi * n))
-    pole_phase = (pole_sin + 1j * pole_cos)[:, :, None]
-    tables = (
-        x,
-        np.concatenate([
-            recip[2 * n_max + s, 0] - recip[2 * n_max + d, 0],
-            recip[2 * n_max - s, 0] - recip[2 * n_max - d, 0],
-            ((s == on_key).astype(float) - (d == on_key)).reshape(-1, len(n)),
-        ]),
-        np.hstack([
-            np.exp(1j * np.outer(half, 2.0 * p + 2.0 * math.pi * n)),
-            np.exp(1j * np.outer(half, 2.0 * p - 2.0 * math.pi * n)),
-            (pole_phase * wave[:, None]).reshape(len(half), -1),
-            (pole_phase * np.conj(wave)[:, None]).reshape(len(half), -1),
-        ]),
-        1.0 - 2.0 * (n % 2),
-    )
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables

@@ -36,13 +36,14 @@ def manifest_entries(path, section=None):
     return out
 
 
-def run_process(argv):
-    """Run the CLI as its own process; returns (exit code, stderr)."""
+def run_process(argv, cwd=None, **env):
+    """Run the CLI as its own process in cwd, with env added to the environment;
+    returns (exit code, stderr)."""
     src = str(Path(boxrevive.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
     proc = subprocess.run(
         [sys.executable, "-m", "boxrevive.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
     return proc.returncode, proc.stderr
 
@@ -678,3 +679,24 @@ class TestDeterminism:
         assert run_quiet(args + ["--outdir", str(b)]) == 0
         assert (a / "carpet.csv").read_bytes() == (b / "carpet.csv").read_bytes()
         assert (a / "carpet.pgm").read_bytes() == (b / "carpet.pgm").read_bytes()
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits each product by its thread count; no Wigner field or
+        # fringe spacing may move with it. Each run writes to the same
+        # relative --outdir, so the manifests compare too.
+        commands = {
+            "wigner": ["wigner", "--q2", "0", "--t", "0.25"],
+            "subplanck": ["subplanck", "--q2-list", "0,2e-6,1e-5", "--mode", "short_time", "--fringe"],
+        }
+        for threads in ("1", "2"):
+            for name, argv in commands.items():
+                cwd = tmp_path / threads / name
+                cwd.mkdir(parents=True)
+                rc, err = run_process([*argv, "--outdir", "out"], cwd=cwd, OPENBLAS_NUM_THREADS=threads)
+                assert rc == 0, err
+        for name in commands:
+            one, two = (tmp_path / threads / name / "out" for threads in ("1", "2"))
+            artifacts = sorted(path.name for path in one.iterdir())
+            assert len(artifacts) > 1 and artifacts == sorted(path.name for path in two.iterdir())
+            for artifact in artifacts:
+                assert (one / artifact).read_bytes() == (two / artifact).read_bytes(), artifact

@@ -3,12 +3,11 @@
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from boxrevive import PacketSpec, SystemConfig, evolve, expand, wigner
 from boxrevive.cli import run
-from boxrevive.wigner import _column_tables, _tables
+from boxrevive.wigner import _tables
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,22 +51,17 @@ def test_library_snippet_runs():
 def test_wigner_cache_entry_sizes():
     # The README's entry sizes at 29 levels against the entries built for the
     # reference packet's default p axes, each to half a unit of its last
-    # printed digit: the field's per grid, then the fringe column's.
+    # printed digit.
     text = " ".join(README.read_text().split())
     fields = re.search(r"At 29 levels an entry holds (.*?)\. ", text).group(1)
     printed = re.findall(r"([\d.]+) MB at (\d+)²", fields)
     assert [grid for _, grid in printed] == ["256", "512", "1024"]
-    (column,) = re.findall(r"cache entry of its own per \(nx, p, n_min, n_max\), ([\d.]+) MB at 29 levels", text)
     cfg = SystemConfig(0.0)
     state = evolve(expand(PacketSpec(0.5, 0.1, 50.0), cfg), 0.25, cfg)
     e = state.expansion
     assert len(e.coefficients) == 29
-    entries = []
-    for _, grid in printed:
+    for mb, grid in printed:
         p_axis = wigner(state, int(grid), int(grid)).p_axis
-        entries.append(_tables(int(grid), p_axis.tobytes(), e.n_min, e.n_max))
-    p_axis = wigner(state).p_axis
-    entries.append(_column_tables(256, float(p_axis[np.argmin(np.abs(p_axis))]), e.n_min, e.n_max))
-    for mb, entry in zip([mb for mb, _ in printed] + [column], entries):
+        entry = _tables(int(grid), p_axis.tobytes(), e.n_min, e.n_max)
         half_unit = 0.5 * 10.0 ** -len(mb.partition(".")[2])
         assert abs(sum(a.nbytes for a in entry) / 1e6 - float(mb)) <= half_unit, mb

@@ -8,7 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxrevive import (
@@ -32,21 +32,21 @@ from boxrevive.wavepacket import _TILE_BYTES, EigenExpansion, EvolvedState
 from boxrevive.wigner import (
     DEFAULT_GRID,
     WignerField,
-    _column,
-    _column_tables,
     _field,
+    _key_sums,
     _tables,
+    _zero_momentum,
     default_p_max,
     marginal_errors,
 )
-from fringes import crossing_spacing
+from fringes import crossing_spacing, per_pair_field, per_pair_zero_column
 from moments import trapezoid_mean_std
 from states import two_level_range_states
 
 
 def zero_column(state):
-    """The column of the default `wigner` grid nearest p = 0, built alone through the full-grid
-    kernel `_field`: the reference for the closed-form column that `fringe_spacing` reads."""
+    """The column of the default `wigner` grid nearest p = 0, built alone by `_field` on that one
+    momentum, as `fringe_spacing` reads it."""
     p_max = default_p_max(state.packet)
     p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
     return _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
@@ -126,11 +126,10 @@ class TestCatState:
         packet = PacketSpec(0.4, 0.08, 40.0)
         cfg = SystemConfig(0.0)
         state = evolve(expand(packet, cfg), 0.25, cfg)
-        field = wigner(state)
-        column = field.values[:, int(np.argmin(np.abs(field.p_axis)))]
-        expected = crossing_spacing(field.x_axis, column, packet.x_bar)
+        x, column = per_pair_zero_column(state)
+        expected = crossing_spacing(x, column, packet.x_bar)
         assert fringe_spacing(state) == pytest.approx(expected, rel=1e-9)
-        assert crossing_spacing(field.x_axis, column, 0.5) != pytest.approx(expected, rel=1e-2)
+        assert crossing_spacing(x, column, 0.5) != pytest.approx(expected, rel=1e-2)
 
 
 class TestMarginalErrors:
@@ -294,31 +293,30 @@ class TestQuadrature:
         assert np.max(np.abs(marg - rho)) < 1e-3
 
 
-def per_pair_field(state, x_axis, p_axis):
-    """(1/pi) sum over level pairs (n, m) of conj(a_n) a_m times
+def loop_key_sums(coefficients, n_min):
+    """`_key_sums` by its definition, one pair at a time: P[n, k] = sum_m conj(a_n) a_m
+    ([n + m = k] - [n - m = k]) over the keys -2 n_max..2 n_max, then S = P[k] + P[-k] and
+    D = P[k] - P[-k] on k >= 0, returned as [[Re S, Im S], [-Im D, Re D]]."""
+    levels = len(coefficients)
+    n_max = n_min + levels - 1
+    p = np.zeros((levels, 4 * n_max + 1), complex)  # column 2 n_max + k holds key k
+    for i, a_n in enumerate(coefficients):
+        for j, a_m in enumerate(coefficients):
+            n, m = n_min + i, n_min + j
+            p[i, 2 * n_max + n + m] += np.conj(a_n) * a_m
+            p[i, 2 * n_max + n - m] -= np.conj(a_n) * a_m
+    pos, neg = p[:, 2 * n_max :], p[:, 2 * n_max :: -1]
+    s, d = pos + neg, pos - neg
+    return np.array([[s.real, s.imag], [-d.imag, d.real]])
 
-        e^{i pi d x} f(s pi) + e^{-i pi d x} f(-s pi) - e^{i pi s x} f(d pi) - e^{-i pi s x} f(-d pi)
 
-    with s = n + m, d = n - m and f(k) = sin((k + 2p) L)/(k + 2p) = L sinc((k + 2p) L / pi),
-    one level n at a time: the closed form with no grouping by key and no split of the sine.
-    """
-    a = state.expansion.coefficients
-    n = state.expansion.n_values
-    x = np.asarray(x_axis, float)[:, None, None]
-    p = np.asarray(p_axis, float)[None, :, None]
-    half = np.minimum(x, 1.0 - x)
-
-    def f(k):
-        return half * np.sinc((k + 2.0 * p) * half / math.pi)
-
-    total = np.zeros((x.shape[0], p.shape[1]), dtype=complex)
-    for a_n, level in zip(a, n):
-        s = math.pi * (level + n)
-        d = math.pi * (level - n)
-        terms = (np.exp(1j * d * x) * f(s) + np.exp(-1j * d * x) * f(-s)
-                 - np.exp(1j * s * x) * f(d) - np.exp(-1j * s * x) * f(-d))
-        total += terms @ (np.conj(a_n) * a)
-    return total.real / math.pi
+def assert_key_sums_match_their_definition(coefficients, n_min):
+    # The index table is the entry's fifth array; any grid and p axis serve.
+    index = _tables(3, np.zeros(1).tobytes(), n_min, n_min + len(coefficients) - 1)[4]
+    assert not index.flags.writeable
+    expected = loop_key_sums(coefficients, n_min)
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(coefficients)) ** 2
+    assert np.max(np.abs(_key_sums(coefficients, index) - expected)) <= tol
 
 
 def quadrature_cell(state, x, p):
@@ -379,7 +377,9 @@ class TestClosedForm:
         offset=st.floats(-1e-3, 1e-3),
     )
     def test_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset):
-        # Every key kappa is an integer multiple of pi; p = -kappa/2 is its pole.
+        # Every key kappa is an integer multiple of pi; p = -kappa/2 is its
+        # pole. Within POLE_GAP of it the reciprocals of that key are dropped
+        # and their pair terms summed directly.
         p = -0.5 * math.pi * key + offset
         column = _field(states[case], 33, np.array([p]))
         reference = per_pair_field(states[case], column.x_axis, [p])
@@ -448,42 +448,64 @@ class TestClosedForm:
 
     def test_column_equals_grid_column(self, states):
         # Every column of an odd-n_p grid, whose p = 0 holds the d = 0 pole:
-        # the field on that one momentum and the closed-form column both
-        # match the grid's column, so the two pole paths agree.
+        # the field on that one momentum matches the grid's column, so a
+        # pole is summed alike on either p axis.
         for nx in (16, 17, 256):  # even sizes have no middle row
             field = wigner(states["cat"], nx=nx, n_p=33)
             assert field.p_axis[16] == 0.0
-            for j, p in enumerate(field.p_axis):
+            for j in range(len(field.p_axis)):
                 one = _field(states["cat"], nx, field.p_axis[[j]]).values[:, 0]
-                _, column = _column(states["cat"], nx, float(p))
                 assert np.max(np.abs(one - field.values[:, j])) <= 1e-12
-                assert np.max(np.abs(column - field.values[:, j])) <= 1e-12
 
-    def test_fringe_spacing_reads_the_column_outside_the_field_tables(self, states):
-        # fringe_spacing reads the default grid's column nearest p = 0 from
-        # its closed form, which takes no entry of the field's table cache,
-        # and finds its crossings around x_bar as the whole field's column
-        # would give them.
+    def test_fringe_spacing_takes_one_field_table_entry(self, states):
+        # fringe_spacing reads the default grid's column nearest p = 0 through
+        # _field on that one momentum: one entry of the field's table cache,
+        # keyed by the one-point p axis.
         state = states["cat"]
-        field = wigner(state)
-        j = int(np.argmin(np.abs(field.p_axis)))
+        e = state.expansion
         _tables.cache_clear()
-        _column_tables.cache_clear()
         spacing = fringe_spacing(state)
         info = _tables.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        assert _column_tables.cache_info().misses == 1
-        x, column = _column(state, DEFAULT_GRID, float(field.p_axis[j]))
-        assert _column_tables.cache_info().hits == 1
-        assert x.tobytes() == field.x_axis.tobytes()
-        assert np.max(np.abs(column - zero_column(state).values[:, 0])) <= 1e-12
-        assert np.max(np.abs(column - field.values[:, j])) <= 1e-12
-        expected = crossing_spacing(field.x_axis, field.values[:, j], state.packet.x_bar)
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+        p_axis = np.array([_zero_momentum(default_p_max(state.packet))])
+        assert_read_only(_tables(DEFAULT_GRID, p_axis.tobytes(), e.n_min, e.n_max))
+        info = _tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        x, column = per_pair_zero_column(state)
+        expected = crossing_spacing(x, column, state.packet.x_bar)
         assert expected is not None
         assert spacing == pytest.approx(expected, rel=1e-9)
-        e = state.expansion
-        for arr in _column_tables(DEFAULT_GRID, float(field.p_axis[j]), e.n_min, e.n_max):
-            assert not arr.flags.writeable
+
+    def test_phase_space_mix_fits_the_table_cache(self, states):
+        # One packet's 256^2 and 512^2 fields and its fringe column take three
+        # of the four entries, so a second pass makes no miss.
+        state = states["cat"]
+        _tables.cache_clear()
+        for _ in range(2):
+            wigner(state)
+            wigner(state, 512, 512)
+            fringe_spacing(state)
+        info = _tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 3, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_min=st.integers(1, 40),
+        coefficients=st.lists(
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=32,
+        ),
+    )
+    @example(n_min=1, coefficients=[1.0 + 0.0j])  # one level
+    @example(n_min=1, coefficients=[0.6 + 0.0j, -0.0 - 0.8j, 0.0j, complex(-0.0, -0.0)])
+    def test_key_sums_match_their_definition(self, n_min, coefficients):
+        assert_key_sums_match_their_definition(np.array(coefficients), n_min)
+
+    def test_key_sums_of_evolved_states_match_their_definition(self, states, large_angle):
+        expansion, cfg = large_angle  # levels 66..192
+        for e in (states["cat"].expansion, states["dephased"].expansion,
+                  evolve(expansion, 0.25, cfg).expansion):
+            assert_key_sums_match_their_definition(e.coefficients, e.n_min)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -492,13 +514,13 @@ class TestClosedForm:
         offset=st.floats(-1e-3, 1e-3),
     )
     def test_closed_form_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset):
-        # Within POLE_GAP of p = -kappa/2 the reciprocals of that key are
-        # dropped from M+- and their pair terms summed directly.
+        # The one-momentum column on the default grid's rows, as fringe_spacing
+        # reads it, within POLE_GAP of p = -kappa/2.
         p = -0.5 * math.pi * key + offset
-        x, column = _column(states[case], 33, p)
-        assert x.tobytes() == np.linspace(0.0, 1.0, 33).tobytes()
-        reference = per_pair_field(states[case], x, [p])
-        assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
+        column = _field(states[case], DEFAULT_GRID, np.array([p]))
+        assert column.x_axis.tobytes() == np.linspace(0.0, 1.0, DEFAULT_GRID).tobytes()
+        reference = per_pair_field(states[case], column.x_axis, [p])
+        assert np.max(np.abs(column.values[:, 0] - reference[:, 0])) <= 1e-12
 
     @pytest.mark.parametrize("nx", [2, 3, 256, 257])
     @pytest.mark.parametrize("case, p", [
@@ -508,7 +530,7 @@ class TestClosedForm:
         ("dephased", 50.0),
     ])
     def test_closed_form_column_matches_per_pair_sum(self, states, case, p, nx):
-        _, column = _column(states[case], nx, p)
+        column = _field(states[case], nx, np.array([p])).values[:, 0]
         assert column.shape == (nx,)
         reference = per_pair_field(states[case], np.linspace(0.0, 1.0, nx), [p])
         assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
@@ -516,12 +538,12 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("nx, p", [(512, 0.0), (257, 1.3), (256, -50.0 * math.pi + 1e-12)])
     def test_closed_form_column_at_large_angles_matches_per_pair_sum(self, large_angle, nx, p):
-        # The middle rows of the 127-level packet, where pi m L reaches 603.
+        # The middle rows of the 127-level packet, where 2 pi n L reaches 603.
         expansion, cfg = large_angle
         state = evolve(expansion, 0.25, cfg)
         rows = [nx // 2 - 2, nx // 2 - 1, nx // 2, nx // 2 + 1]
         reference = per_pair_field(state, np.linspace(0.0, 1.0, nx)[rows], [p])
-        assert np.max(np.abs(_column(state, nx, p)[1][rows] - reference[:, 0])) <= 1e-12
+        assert np.max(np.abs(_field(state, nx, np.array([p])).values[rows] - reference)) <= 1e-12
 
     def test_fringe_spacing_on_a_pole(self):
         # p_max = 255 pi / 2 puts the default grid's momentum nearest 0 at
@@ -533,11 +555,10 @@ class TestClosedForm:
         p_axis = np.linspace(-default_p_max(packet), default_p_max(packet), DEFAULT_GRID)
         p = float(p_axis[np.argmin(np.abs(p_axis))])
         assert abs(2.0 * p + math.pi) < 1e-13
-        column = _column(state, DEFAULT_GRID, p)[1]
-        reference = per_pair_field(state, np.linspace(0.0, 1.0, DEFAULT_GRID), [p])
-        assert np.max(np.abs(column - reference[:, 0])) <= 1e-12
-        reference_column = zero_column(state)
-        expected = crossing_spacing(reference_column.x_axis, reference_column.values[:, 0], 0.5)
+        column = _field(state, DEFAULT_GRID, np.array([p])).values[:, 0]
+        x, reference = per_pair_zero_column(state)
+        assert np.max(np.abs(column - reference)) <= 1e-12
+        expected = crossing_spacing(x, reference, 0.5)
         assert expected == pytest.approx(0.0092036, abs=1e-7)
         assert fringe_spacing(state) == pytest.approx(expected, rel=1e-9)
 
