@@ -1,17 +1,16 @@
 """Sub-Planck structure diagnostics: action A = dx * dp and dimension a = 1/A.
 
-dx and dp are the standard deviations of the evolved state's position density
-on DEFAULT_X_POINTS points of [0, 1] and of its momentum density on
-default_momentum_grid (|p| <= |p_bar| + 8/delta_x), each from trapezoid sums
-(hbar units, so the Heisenberg floor is A >= 0.5). Those sums are quadratic
-forms c G_k conj(c) of the coefficient vector c. The matrices G_k depend only
-on the packet and its level range, so they are built once and cached; a report
-then costs one evolve and a few (levels x levels) products, with no grid. The
-optional fringe-spacing estimate is `wigner.fringe_spacing`, read from the
-column of the default Wigner grid nearest p = 0 (the field's kernel on that
-one momentum, with no whole field built), and is reported alongside the
-moment-based value, never mixed into it. The sensitivity curve is read from `sensitivity_reports`: each
-report's q_squared with its ratio delta = a_q / a(q2=0, t=0.25).
+dx is the exact standard deviation of the evolved state's position density on
+[0, 1], dp that of its momentum density on default_momentum_grid (|p| <=
+|p_bar| + 8/delta_x) by trapezoid sums (hbar units, so the Heisenberg floor is
+A >= 0.5). Both are quadratic forms c G_k conj(c) of the coefficient vector c
+whose matrices G_k depend only on the packet and its level range, so they are
+built once and cached; a report then costs one evolve and a few (levels x
+levels) products, with no grid. The optional fringe spacing, read by
+`wigner.fringe_spacing` from the default Wigner grid's column nearest p = 0, is
+reported alongside the moment-based value, never mixed into it. The sensitivity
+curve is read from `sensitivity_reports`: each report's q_squared with delta =
+a_q / a(q2=0, t=0.25).
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import trapezoid_weights
-from .spectrum import SystemConfig, _check_quartic_clock, _mode_matrix
+from .spectrum import SystemConfig, _check_quartic_clock
 from .wavepacket import (
-    DEFAULT_X_POINTS,
     EigenExpansion,
     PacketSpec,
     _momentum_modes,
@@ -87,33 +85,34 @@ def subplanck_dimension(
 
 @functools.lru_cache(maxsize=8)
 def _moment_forms(packet: PacketSpec, n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid moment forms of the position and momentum densities, read-only.
+    """Moment forms of the position and momentum densities, read-only.
 
-    Each is a (3, levels, levels) stack G_k[n, m] = sum_j w_j g_j^k M_n(g_j)
-    conj(M_m(g_j)), k = 0, 1, 2, over trapezoid weights w_j on a grid g_j
-    measured from its midpoint, so the k-th moment of |psi|^2 = |sum_n c_n M_n|^2
-    is c G_k conj(c). Position: M_n = sqrt(2) sin(n pi x) on DEFAULT_X_POINTS
-    points of [0, 1]; momentum: the closed-form transform of level n on
-    default_momentum_grid(packet). They depend on neither q2 nor t.
+    Each is a (3, levels, levels) stack G_k, k = 0, 1, 2: the k-th moment of
+    |psi|^2 = |sum_n c_n M_n|^2 about the axis midpoint is c G_k conj(c).
+    Position, exact: G_k[n, m] = I_k(|n - m|) - I_k(n + m) for M_n =
+    sqrt(2) sin(n pi x) on [0, 1]. Momentum: sum_j w_j p_j^k M_n(p_j)
+    conj(M_m(p_j)), trapezoid weights w_j on the symmetric default_momentum_grid,
+    M_n the closed-form transform of level n. Neither depends on q2 or t.
     """
-    n_values = np.arange(n_min, n_max + 1)
-    x_grid = np.linspace(0.0, 1.0, DEFAULT_X_POINTS)
+    n = np.arange(n_min, n_max + 1)
+    x_forms = _cosine_moments(abs(n[:, None] - n)) - _cosine_moments(n[:, None] + n)
     p_grid = default_momentum_grid(packet)
-    x_modes = _mode_matrix(n_values, x_grid)
     # The modes of fourier_amplitude, uncached: these forms are cached themselves.
-    modes = _momentum_modes.__wrapped__(n_values.astype(float).tobytes(), p_grid.tobytes())
+    modes = _momentum_modes.__wrapped__(n.astype(float).tobytes(), p_grid.tobytes())
     p_modes = (-1j / math.sqrt(math.pi)) * modes
-    return _trapezoid_forms(x_grid, x_modes), _trapezoid_forms(p_grid, p_modes)
+    weights = trapezoid_weights(p_grid)
+    adjoint = p_modes.conj().T
+    p_forms = np.array([(p_modes * (weights * p_grid**k)) @ adjoint for k in range(3)])
+    for forms in (x_forms, p_forms):
+        forms.setflags(write=False)
+    return x_forms, p_forms
 
 
-def _trapezoid_forms(axis: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """The stack G_0, G_1, G_2 of `_moment_forms` for modes sampled on axis."""
-    weights = trapezoid_weights(axis)
-    centred = axis - 0.5 * (axis[0] + axis[-1])
-    adjoint = modes.conj().T
-    forms = np.array([(modes * (weights * centred**k)) @ adjoint for k in range(3)])
-    forms.setflags(write=False)
-    return forms
+def _cosine_moments(j: np.ndarray) -> np.ndarray:
+    """I_k(j) = integral_0^1 (x - 1/2)^k cos(j pi x) dx, k = 0, 1, 2, on a new first axis."""
+    zero, odd = j == 0, j % 2 == 1
+    scale = np.where(zero, 0.0, 2.0 / (math.pi * np.maximum(j, 1)) ** 2)
+    return np.array([zero * 1.0, np.where(odd, -scale, 0.0), np.where(odd, 0.0, scale) + zero / 12])
 
 
 def _form_std(forms: np.ndarray, coefficients: np.ndarray) -> float:

@@ -46,7 +46,6 @@ from .spectrum import (
     spectrum_turnover,
 )
 
-DEFAULT_X_POINTS = 1024
 DEFAULT_P_POINTS = 1024
 STABLE_TAIL_TERMS = 3
 GAUSSIAN_CUTOFF = 40.0  # dx |k| past which exp(-(dx k)^2 / 2) < exp(-800) is 0.0 in doubles

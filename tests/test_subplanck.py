@@ -23,26 +23,36 @@ from boxrevive import (
     subplanck_dimension,
 )
 from boxrevive.subplanck import SHORT_TIME, _moment_forms, evaluation_time
-from boxrevive.wavepacket import DEFAULT_X_POINTS, _momentum_modes
+from boxrevive.wavepacket import _momentum_modes
 from fringes import crossing_spacing, per_pair_zero_column
 from moments import trapezoid_mean_std
 
 Q2_GRID = [0.0, 2e-6, 4e-6, 8e-6, 1e-5]  # 1/(4 q2) integer for each q2 > 0
+# Gauss-Legendre nodes of the dx oracle: they integrate the position density,
+# whose highest harmonic is cos(2 n_max pi x), to rounding at every level range
+# these tests expand (n_max below 100).
+GAUSS_NODES = 600
 
 
-def trapezoid_widths(packet, cfg, t):
-    """Oracle: dx and dp as trapezoid moments of the sampled densities on the report's grids."""
+def quadrature_widths(packet, cfg, t):
+    """Oracle: dx by Gauss-Legendre quadrature of the position density on [0, 1]
+    (no grid of the library's), dp as trapezoid moments of the momentum density
+    on the report's grid."""
     state = evolve(expand(packet, cfg), t, cfg)
-    x = np.linspace(0.0, 1.0, DEFAULT_X_POINTS)
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    x, w = (nodes + 1.0) / 2.0, weights / 2.0
+    rho = position_density(state, x)
+    norm = w @ rho
+    mean = w @ (x * rho) / norm
+    dx = math.sqrt(w @ ((x - mean) ** 2 * rho) / norm)
     p = default_momentum_grid(packet)
-    _, dx = trapezoid_mean_std(x, position_density(state, x))
     _, dp = trapezoid_mean_std(p, np.abs(momentum_amplitude(state, p)) ** 2)
     return dx, dp
 
 
 def width_errors(packet, cfg, t):
     report = subplanck_dimension(packet, cfg, t)
-    dx, dp = trapezoid_widths(packet, cfg, t)
+    dx, dp = quadrature_widths(packet, cfg, t)
     return abs(report.delta_x_eff / dx - 1.0), abs(report.delta_p_eff / dp - 1.0)
 
 
@@ -73,6 +83,27 @@ class TestSingleReport:
         report = subplanck_dimension(ref_packet, cfg0, 0.25)
         assert report.action_A == pytest.approx(3.57, rel=0.15)
         assert report.dim_a == pytest.approx(0.28, rel=0.15)
+
+    @pytest.mark.parametrize(
+        "q2, t", [(0.0, 0.25), (1e-5, 25000.0), (2e-6, 125000.0), (2.0**-11, 512.0)]
+    )
+    def test_two_copy_cat_matches_its_closed_forms(self, ref_packet, q2, t):
+        # At t = 1/4 (q2 = 0) and at t_sr4/4 with 4 | 1/q2 the state is the
+        # two-copy momentum cat c+ psi0(x) + c- psi0(1 - x), |c+-|^2 = 1/2. For
+        # x_bar = 1/2 both copies share the position density, so dx = dx0/sqrt(2),
+        # and the lobes at +-p_bar give dp = sqrt(p_bar^2 + 1/(2 dx0^2)). The
+        # misses, 4.14e-8 (dx), 4.6e-10 (dp) and 4.2e-8 (a) at all four
+        # instants, are the default truncation (levels 3..31 at epsilon 1e-6);
+        # at epsilon 1e-10 all three fall below 1e-11.
+        dx0, p_bar = ref_packet.delta_x, ref_packet.p_bar
+        dx, dp = dx0 / math.sqrt(2.0), math.sqrt(p_bar**2 + 1.0 / (2.0 * dx0**2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # basis passes 0.7 n* at q2 = 2^-11
+            report = subplanck_dimension(ref_packet, SystemConfig(q2), t)
+        assert report.delta_x_eff == pytest.approx(dx, rel=1e-7)
+        assert report.delta_p_eff == pytest.approx(dp, rel=1e-9)
+        assert report.dim_a == pytest.approx(1.0 / (dx * dp), rel=1e-7)
+        assert 1.0 / (dx * dp) == pytest.approx(0.28006, abs=5e-6)
 
     def test_weak_relativistic_dimension(self, ref_packet, cfg_weak):
         report = subplanck_dimension(ref_packet, cfg_weak, 0.25)
@@ -205,8 +236,9 @@ class TestFringeColumn:
 
 
 class TestMomentForms:
-    """dx and dp read from the cached quadratic forms are the trapezoid moments
-    of the sampled densities, summed in another order."""
+    """dx read from the cached quadratic forms is the exact position moment,
+    checked against Gauss-Legendre quadrature; dp is the trapezoid moment of
+    the sampled momentum density, summed in another order."""
 
     @settings(max_examples=60, deadline=None)
     @given(report_cases())
