@@ -36,7 +36,7 @@ def carpet(packet: PacketSpec, cfg: SystemConfig, t_range, nt: int, nx: int) -> 
     values = np.empty((nt, nx))
     for start in range(0, nt, BLOCK_ROWS):
         block = times[start : start + BLOCK_ROWS]
-        rows = np.array([evolve(expansion, float(t), cfg).expansion.coefficients for t in block])
+        rows = np.array([evolve(expansion, float(t), cfg).coefficients for t in block])
         values[start : start + len(block)] = _density_rows(rows, modes)
 
     meta = {

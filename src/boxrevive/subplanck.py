@@ -70,9 +70,9 @@ def subplanck_dimension(
     if expansion is None:
         expansion = expand(packet, cfg)
     state = evolve(expansion, t, cfg)
-    x_forms, p_forms = _moment_forms(state.packet, expansion.n_min, expansion.n_max)
-    dx_eff = _form_std(x_forms, state.expansion.coefficients)
-    dp_eff = _form_std(p_forms, state.expansion.coefficients)
+    x_forms, p_forms = _moment_forms(state.packet, state.n_min, state.n_max)
+    dx_eff = _form_std(x_forms, state.coefficients)
+    dp_eff = _form_std(p_forms, state.coefficients)
     return SubPlanckReport(
         time=t,
         q_squared=cfg.q_squared,

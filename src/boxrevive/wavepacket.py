@@ -48,7 +48,6 @@ from .spectrum import (
 
 DEFAULT_P_POINTS = 1024
 STABLE_TAIL_TERMS = 3
-GAUSSIAN_CUTOFF = 40.0  # dx |k| past which exp(-(dx k)^2 / 2) < exp(-800) is 0.0 in doubles
 
 # Momentum half-range, in units of 1/delta_x, required beyond |p_bar|. Covers
 # the full occupied spectral band of revival-class states, where the marginal
@@ -136,15 +135,14 @@ class EigenExpansion:
         return np.arange(self.n_min, self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class EvolvedState:
-    """An expansion whose coefficients already carry the eigenphases of one time."""
-
-    expansion: EigenExpansion
+class EvolvedState(EigenExpansion):
+    """An EigenExpansion whose coefficients already carry the eigenphases of one time."""
 
     @property
-    def packet(self) -> PacketSpec:
-        return self.expansion.packet
+    def expansion(self) -> EvolvedState:
+        """The state itself. A read-only alias that only `perfbench/` reads; it goes
+        once the benchmark reads the state's fields directly."""
+        return self
 
 
 def _raw_coefficient(n: int, packet: PacketSpec) -> complex:
@@ -156,11 +154,11 @@ def _raw_coefficient(n: int, packet: PacketSpec) -> complex:
 
 
 def _gaussian(dx: float, k: float) -> float:
-    """exp(-dx^2 k^2 / 2); 0.0 once dx |k| > GAUSSIAN_CUTOFF, where it underflows anyway."""
-    u = dx * abs(k)
+    """exp(-dx^2 k^2 / 2); 0.0 past dx |k| ~ 38.6, where the exponent is below -745."""
     try:
-        return 0.0 if u > GAUSSIAN_CUTOFF else math.exp(-(dx**2) * k**2 / 2.0)
-    except OverflowError:  # dx or |k| alone is past 1e154, their product u is not
+        return math.exp(-(dx**2) * k**2 / 2.0)
+    except OverflowError:  # dx or |k| alone is past 1e154; u * u may overflow to inf, exp to 0.0
+        u = dx * abs(k)
         return math.exp(-u * u / 2.0)
 
 
@@ -392,10 +390,9 @@ def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EvolvedSta
     """Multiply each coefficient by its exact eigenphase exp(-i E_n t)."""
     cycles = phase_cycles(t, cfg.q_squared, expansion.n_values)
     phases = np.exp(-2j * math.pi * cycles)
-    evolved = EigenExpansion(
+    return EvolvedState(
         expansion.n_min, expansion.coefficients * phases, expansion.captured_norm, expansion.packet
     )
-    return EvolvedState(expansion=evolved)
 
 
 def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -407,8 +404,8 @@ def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray
 
 def position_density(state: EvolvedState, x_grid) -> np.ndarray:
     """|psi(x, t)|^2 at each grid point; nonnegative by construction."""
-    modes = _mode_matrix(state.expansion.n_values, x_grid)
-    return _density_rows(state.expansion.coefficients[None, :], modes)[0]
+    modes = _mode_matrix(state.n_values, x_grid)
+    return _density_rows(state.coefficients[None, :], modes)[0]
 
 
 def fourier_amplitude(coefficients, n_values, p_values) -> np.ndarray:
@@ -466,7 +463,7 @@ def momentum_amplitude(state: EvolvedState, p_grid) -> np.ndarray:
     """
     p = np.asarray(p_grid, dtype=float)
     _check_coverage(state.packet, p)
-    return fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, p)
+    return fourier_amplitude(state.coefficients, state.n_values, p)
 
 
 def _check_coverage(packet: PacketSpec, p: np.ndarray) -> None:

@@ -81,7 +81,7 @@ DEFAULT_GRID = 256
 # through 1/(kappa + 2p).
 POLE_GAP = 1e-2
 
-FRINGE_WINDOW = 0.25  # half-width in x around the centre where fringes are read
+FRINGE_WINDOW = 0.25  # half-width in x around the box midpoint where fringes are read
 
 
 class WignerField(Field2D):
@@ -138,12 +138,11 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
     plus the pole terms, with [C S] = cos and sin(2 pi n L) and the levels'
     cos and sin columns interleaved. The wall rows (L = 0) are exactly zero.
     """
-    e = state.expansion
     x, cs, cos_arg, sin_arg, index, recip, flip, pole_keys, pole_signs, cols, pole_cos, pole_sin = _tables(
-        nx, p_axis.tobytes(), e.n_min, e.n_max
+        nx, p_axis.tobytes(), state.n_min, state.n_max
     )
-    sums = _key_sums(e.coefficients, index)
-    levels, n_p = len(e.coefficients), len(p_axis)
+    sums = _key_sums(state.coefficients, index)
+    levels, n_p = len(state.coefficients), len(p_axis)
     # rhs[part, n, even/odd, p]: rows (n, even/odd) of rhs_re and rhs_im pair
     # with the interleaved columns of [C S], and each reciprocal product
     # fills one even/odd slot of every row.
@@ -182,7 +181,7 @@ def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
         "axis1": "position [L]",
         "axis2": "momentum [hbar/L]",
         "values": "Wigner quasiprobability [1/hbar]",
-        "captured_norm": e.captured_norm,
+        "captured_norm": state.captured_norm,
     }
     return WignerField(x, p_axis, values, meta)
 
@@ -336,7 +335,7 @@ def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     """
     x_marginal = f.values @ trapezoid_weights(f.p_axis)
     x_err = float(np.max(np.abs(x_marginal - position_density(state, f.x_axis))))
-    phi = fourier_amplitude(state.expansion.coefficients, state.expansion.n_values, f.p_axis)
+    phi = fourier_amplitude(state.coefficients, state.n_values, f.p_axis)
     p_marginal = trapezoid_weights(f.x_axis) @ f.values
     p_err = float(np.max(np.abs(p_marginal - np.abs(phi) ** 2)))
     return x_err, p_err
@@ -348,13 +347,15 @@ def fringe_spacing(state: EvolvedState) -> float | None:
     Reads the column of the default `wigner` grid nearest p = 0, built alone
     by `_field` on that one momentum. Returns twice the mean gap between
     consecutive zero crossings of W(x, ~0) within +/- FRINGE_WINDOW of the
-    packet's x_bar, or None when fewer than two crossings exist (no
-    resolvable fringes). No coverage check: it protects the marginals of a
-    whole field, and one column has none.
+    box midpoint x = 1/2, or None when fewer than two crossings exist (no
+    resolvable fringes). At the two-copy instants the copies sit at x_bar
+    and 1 - x_bar, so their fringes lie around 1/2 wherever the packet
+    started. No coverage check: it protects the marginals of a whole field,
+    and one column has none.
     """
     column = _field(state, DEFAULT_GRID, np.array([_zero_momentum(default_p_max(state.packet))]))
     x, w = column.x_axis, column.values[:, 0]
-    mask = np.abs(x - state.packet.x_bar) <= FRINGE_WINDOW
+    mask = np.abs(x - 0.5) <= FRINGE_WINDOW
     x, w = x[mask], w[mask]
     flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
     if len(flips) < 2:

@@ -17,8 +17,8 @@ def per_pair_field(state, x_axis, p_axis):
     with s = n + m, d = n - m and f(k) = sin((k + 2p) L)/(k + 2p) = L sinc((k + 2p) L / pi),
     one level n at a time: the closed form with no grouping by key and no split of the sine.
     """
-    a = state.expansion.coefficients
-    n = state.expansion.n_values
+    a = state.coefficients
+    n = state.n_values
     x = np.asarray(x_axis, float)[:, None, None]
     p = np.asarray(p_axis, float)[None, :, None]
     half = np.minimum(x, 1.0 - x)

@@ -10,5 +10,5 @@ def two_level_range_states():
         evolve(expand(packet, cfg), 0.3, cfg)
         for packet in (PacketSpec(0.5, 0.1, 50.0), PacketSpec(0.5, 0.15, 63.0))
     ]
-    assert [(s.expansion.n_min, s.expansion.n_max) for s in states] == [(3, 31), (12, 31)]
+    assert [(s.n_min, s.n_max) for s in states] == [(3, 31), (12, 31)]
     return states

@@ -132,7 +132,7 @@ def test_criterion_04_shifted_revival(ref_packet, cfg_weak, exp_weak):
 
     times = np.linspace(0.9, 1.1, 2001)
     evolved = np.array(
-        [evolve(exp_weak, float(t), cfg_weak).expansion.coefficients for t in times]
+        [evolve(exp_weak, float(t), cfg_weak).coefficients for t in times]
     )
     envelope = revival_envelope(exp_weak.coefficients, evolved)
     t_env = float(times[np.argmax(envelope)])
@@ -276,7 +276,7 @@ def test_criterion_11_property_suite(
 ):
     # Unitarity under evolution, including super-revival horizons.
     drift = max(
-        abs(np.sum(np.abs(evolve(exp0, t, cfg).expansion.coefficients) ** 2)
+        abs(np.sum(np.abs(evolve(exp0, t, cfg).coefficients) ** 2)
             - exp0.captured_norm)
         for t, cfg in ((0.25, cfg0), (12345.678, cfg0), (2000.0, cfg_moderate))
     )

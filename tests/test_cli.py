@@ -469,6 +469,16 @@ class TestArtifacts:
             want.append(",".join("%.12g" % v for v in row))
         assert (tmp_path / "subplanck.csv").read_text().splitlines()[3:] == want
 
+    def test_subplanck_fringe_of_a_state_without_fringes_is_empty(self, tmp_path):
+        # A packet at rest at t = 0 has no crossings: the cell is written empty.
+        rc = run_quiet(
+            ["subplanck", "--pbar", "0", "--t", "0", "--fringe", "--outdir", str(tmp_path)]
+        )
+        assert rc == 0
+        header, row = (tmp_path / "subplanck.csv").read_text().splitlines()[2:]
+        assert header.endswith(",fringe_spacing")
+        assert row.endswith(",") and row.count(",") == header.count(",")
+
     def test_fidelity_peaks(self, tmp_path):
         rc = run_quiet(
             ["fidelity", "--q2", "0", "--t0", "0.9", "--t1", "1.1", "--nt", "201",

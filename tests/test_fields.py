@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxrevive import Field2D, write_field_csv, write_field_pgm
-from boxrevive.fields import local_maxima, parabolic_vertex, trapezoid_2d
+from boxrevive.fields import local_maxima, parabolic_vertex, trapezoid_2d, uniform_times
 
 
 @pytest.fixture
@@ -161,6 +161,11 @@ class TestSharedRules:
         got = np.stack(parabolic_vertex(*samples), axis=1)
         want = np.array([scalar(*triple) for triple in samples.T])
         assert got.tobytes() == want.tobytes()
+
+    def test_empty_window_holds_one_sample_alone(self):
+        assert uniform_times((0.3, 0.3), 1).tolist() == [0.3]
+        with pytest.raises(ValueError, match="t1 > t0"):
+            uniform_times((0.3, 0.3), 5)
 
     @pytest.mark.parametrize("triple", [(2.0, 2.0, 2.0), (1.0, 2.0, 3.0), (-0.5, 0.0, 0.5)])
     def test_flat_triple_gives_zero_shift_and_mid(self, triple):

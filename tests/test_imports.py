@@ -2,7 +2,8 @@
 read somewhere, no public name of the package lives on unit tests alone, and
 no private module-level name of the package lives on tests at all. A name is
 read by code alone: Python expressions, or the README's fenced code blocks;
-docstrings, comments and README prose keep nothing alive.
+docstrings, comments and README prose keep nothing alive. Only the benchmark
+reads the `expansion` alias of an evolved state.
 
 No linter is a dependency, so this test does the unused-import check with `ast`.
 `__init__.py` is skipped: its imports are the package's public names.
@@ -99,13 +100,18 @@ def names_read(tree: ast.AST, skip: tuple[int, int] = (0, 0)) -> set[str]:
     return read
 
 
+def fenced_code(markdown: str) -> str:
+    """The bodies of markdown's fenced code blocks, joined by newlines."""
+    return "\n".join(re.findall(r"^```\w*\n(.*?)^```$", markdown, re.M | re.S))
+
+
 def unread_names(
     sources: dict[str, str], private: bool, readers: dict[str, str] | None = None, readme: str = ""
 ) -> list[str]:
     """module.name for each module-level public (or private) name of sources that no
     module of sources or readers reads beyond its definition, nor a code block of readme."""
     trees = {module: ast.parse(source) for module, source in {**sources, **(readers or {})}.items()}
-    code = "\n".join(re.findall(r"^```\w*\n(.*?)^```$", readme, re.M | re.S))  # fenced blocks
+    code = fenced_code(readme)
     unread = []
     for module, source in sources.items():
         for name, span in module_definitions(source, private).items():
@@ -151,3 +157,40 @@ def test_unread_private_names(sources, expected):
 def test_every_private_name_is_read_by_the_program():
     # A private helper that only tests call is dead code; tests do not keep it.
     assert unread_names({path.stem: path.read_text() for path in PROGRAM}, True) == []
+
+
+# `EvolvedState.expansion` returns the state itself and is kept for the
+# benchmark's readers alone; everything else reads the state's fields directly.
+NON_BENCHMARK = sorted(
+    path for folder in ("src/boxrevive", "scripts", "tests") for path in (ROOT / folder).glob("*.py")
+)
+
+
+def attribute_loads(source: str, attr: str) -> list[int]:
+    """Lines on which source loads an attribute named attr."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
+    )
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("s.expansion.coefficients\n", [1]),
+    ("x = 1\nf(evolve(e, t, c).expansion)\n", [2]),
+    ("expansion = expand(p, c)\nexpansion.n_min\n", []),  # a name, not an attribute
+    ("scan(p, c, w, n, expansion=e)\n", []),  # a keyword
+    ("class S:\n    def expansion(self):\n        return self\n", []),
+    ("s.expansion = e\n", []),  # a store
+])
+def test_attribute_loads_reads_only_loads(source, expected):
+    assert attribute_loads(source, "expansion") == expected
+
+
+@pytest.mark.parametrize("path", NON_BENCHMARK, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_the_benchmark_reads_the_expansion_alias(path):
+    assert attribute_loads(path.read_text(), "expansion") == []
+
+
+def test_readme_code_reads_no_expansion_alias():
+    assert re.findall(r"\.expansion\b", fenced_code((ROOT / "README.md").read_text())) == []

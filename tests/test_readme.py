@@ -58,10 +58,9 @@ def test_wigner_cache_entry_sizes():
     assert [grid for _, grid in printed] == ["256", "512", "1024"]
     cfg = SystemConfig(0.0)
     state = evolve(expand(PacketSpec(0.5, 0.1, 50.0), cfg), 0.25, cfg)
-    e = state.expansion
-    assert len(e.coefficients) == 29
+    assert len(state.coefficients) == 29
     for mb, grid in printed:
         p_axis = wigner(state, int(grid), int(grid)).p_axis
-        entry = _tables(int(grid), p_axis.tobytes(), e.n_min, e.n_max)
+        entry = _tables(int(grid), p_axis.tobytes(), state.n_min, state.n_max)
         half_unit = 0.5 * 10.0 ** -len(mb.partition(".")[2])
         assert abs(sum(a.nbytes for a in entry) / 1e6 - float(mb)) <= half_unit, mb

@@ -152,6 +152,11 @@ class TestTimeScales:
         assert ts.t_rev_bar == 1.0
         assert ts.t_sr3 is None and ts.t_sr4 is None
 
+    @pytest.mark.parametrize("n_bar", [0, 2.5])
+    def test_rejects_n_bar_that_is_no_level(self, n_bar):
+        with pytest.raises(ValueError, match="n_bar must be a positive integer"):
+            time_scales(n_bar, SystemConfig(0.0))
+
     def test_rejects_n_bar_whose_cube_overflows(self):
         assert time_scales(10**102, SystemConfig(0.0)).t_cl == 1.0 / 2e102
         with pytest.raises(ValueError, match=r"n_bar\^3"):

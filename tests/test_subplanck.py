@@ -128,17 +128,33 @@ class TestSingleReport:
         # the estimator reads 7.198e-4 (relative) above that at all three
         # instants, a bias of the estimator itself (one 256-point column,
         # linearly interpolated crossings) whose source is still open.
+        instants = ((0.0, 0.25), (1e-5, 25000.0), (2e-6, 125000.0))
         spacings = [
             subplanck_dimension(ref_packet, SystemConfig(q2), t, with_fringe=True).fringe_spacing
-            for q2, t in ((0.0, 0.25), (1e-5, 25000.0), (2e-6, 125000.0))
+            for q2, t in instants
         ]
         assert max(spacings) == pytest.approx(min(spacings), rel=1e-12)
-        for spacing in spacings:
-            assert spacing == pytest.approx(math.pi / abs(ref_packet.p_bar), rel=1e-3)
+        # Off the box centre the copies sit at 0.4 and 0.6 and the fringes
+        # around 1/2, where they are read: 8.03e-4 above pi/|p_bar| at t = 1/4
+        # and 7.64e-4 at the other two instants (at t = 1/4, 3.95 % below
+        # when read around x_bar).
+        off_centre = PacketSpec(0.4, 0.08, 40.0)
+        spacings += [
+            subplanck_dimension(off_centre, SystemConfig(q2), t, with_fringe=True).fringe_spacing
+            for q2, t in instants
+        ]
+        for spacing, packet in zip(spacings, [ref_packet] * 3 + [off_centre] * 3):
+            assert spacing == pytest.approx(math.pi / abs(packet.p_bar), rel=1e-3)
+
+    def test_resting_packet_has_no_fringe(self):
+        # One packet at rest: W(x, ~0) is a positive Gaussian ridge with no crossing.
+        packet, cfg = PacketSpec(0.5, 0.1, 0.0), SystemConfig(0.0)
+        assert fringe_spacing(evolve(expand(packet, cfg), 0.0, cfg)) is None
+        assert subplanck_dimension(packet, cfg, 0.0, with_fringe=True).fringe_spacing is None
 
     def test_given_expansion_decides_the_packet(self, ref_packet, cfg_weak):
-        # Widths and the fringe window centre follow the expansion, not the
-        # packet argument: other's forms and centre differ from ref_packet's.
+        # Widths and the fringe column follow the expansion, not the packet
+        # argument: other's forms and momentum axis differ from ref_packet's.
         other = PacketSpec(x_bar=0.4, delta_x=0.08, p_bar=40.0)
         report = subplanck_dimension(
             ref_packet, cfg_weak, 0.25, True, expansion=expand(other, cfg_weak)
@@ -230,7 +246,7 @@ class TestFringeColumn:
             state = evolve(expand(ref_packet, cfg), t, cfg)
             report = subplanck_dimension(ref_packet, cfg, t, with_fringe=True)
         assert report.fringe_spacing == fringe_spacing(state)
-        expected = crossing_spacing(*per_pair_zero_column(state), ref_packet.x_bar)
+        expected = crossing_spacing(*per_pair_zero_column(state), 0.5)
         assert expected is not None
         assert report.fringe_spacing == pytest.approx(expected, rel=1e-9)
 

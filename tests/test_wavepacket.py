@@ -1,6 +1,7 @@
 """Eigenexpansion, exact evolution and observable contracts."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from boxrevive import (
     CoverageError,
+    EigenExpansion,
+    EvolvedState,
     PacketSpec,
     SystemConfig,
     TruncationError,
@@ -141,6 +144,16 @@ class TestExpansion:
         with pytest.raises(ValueError):
             PacketSpec(**kwargs)
 
+    @pytest.mark.parametrize("p_bar", [math.nan, math.inf])
+    def test_non_finite_p_bar_rejected(self, p_bar):
+        with pytest.raises(ValueError, match="p_bar must be finite"):
+            PacketSpec(0.5, 0.1, p_bar)
+
+    @pytest.mark.parametrize("cls", [EigenExpansion, EvolvedState])
+    def test_level_zero_rejected(self, ref_packet, cls):
+        with pytest.raises(ValueError, match="n_min must be >= 1"):
+            cls(0, np.array([1 + 0j]), 1.0, ref_packet)
+
     @given(packet=safe_packets)
     @settings(max_examples=25, deadline=None)
     def test_n_max_follows_the_coefficients(self, packet):
@@ -208,21 +221,27 @@ class TestExpansion:
 class TestEvolution:
     def test_zero_time_is_identity(self, exp0, cfg0):
         state = evolve(exp0, 0.0, cfg0)
-        assert np.array_equal(state.expansion.coefficients, exp0.coefficients)
+        assert np.array_equal(state.coefficients, exp0.coefficients)
 
     def test_exact_revival_after_one_period(self, exp0, cfg0):
         state = evolve(exp0, 1.0, cfg0)
-        assert np.array_equal(state.expansion.coefficients, exp0.coefficients)
+        assert np.array_equal(state.coefficients, exp0.coefficients)
+
+    def test_evolved_state_is_an_expansion_with_no_field_of_its_own(self, exp0, cfg0):
+        state = evolve(exp0, 0.3, cfg0)
+        assert isinstance(state, EigenExpansion)
+        assert dataclasses.fields(state) == dataclasses.fields(exp0)
+        assert (state.n_min, state.packet) == (exp0.n_min, exp0.packet)
 
     def test_evolved_coefficients_are_read_only(self, exp0, cfg0):
         state = evolve(exp0, 0.3, cfg0)
-        assert not state.expansion.coefficients.flags.writeable
-        assert state.expansion.captured_norm == exp0.captured_norm
+        assert not state.coefficients.flags.writeable
+        assert state.captured_norm == exp0.captured_norm
 
     def test_phase_integrality_at_super_revival(self, exp_moderate, cfg_moderate):
         # 1/q2 = 2000 is an integer, so every cycle count at t = 2000 is whole.
         state = evolve(exp_moderate, 2000.0, cfg_moderate)
-        assert np.max(np.abs(state.expansion.coefficients - exp_moderate.coefficients)) < 1e-9
+        assert np.max(np.abs(state.coefficients - exp_moderate.coefficients)) < 1e-9
 
     def test_phase_cycles_reduce_exactly(self):
         # Independent oracle: integer arithmetic on a rational time.
@@ -237,7 +256,7 @@ class TestEvolution:
         cfg = SystemConfig(q2)
         state = evolve(exp0, t, cfg)
         drift = abs(
-            np.sum(np.abs(state.expansion.coefficients) ** 2) - exp0.captured_norm
+            np.sum(np.abs(state.coefficients) ** 2) - exp0.captured_norm
         )
         assert drift < 1e-14
 
@@ -435,11 +454,10 @@ class TestMomentumModeCache:
     """The (levels x momenta) modes of fourier_amplitude, cached per level range and p axis."""
 
     def test_entries_are_read_only(self, cat_state, ref_packet):
-        e = cat_state.expansion
         p = default_momentum_grid(ref_packet)
-        fourier_amplitude(e.coefficients, e.n_values, p)
-        modes = wavepacket._momentum_modes(e.n_values.astype(float).tobytes(), p.tobytes())
-        assert modes.shape == (len(e.coefficients), len(p))
+        fourier_amplitude(cat_state.coefficients, cat_state.n_values, p)
+        modes = wavepacket._momentum_modes(cat_state.n_values.astype(float).tobytes(), p.tobytes())
+        assert modes.shape == (len(cat_state.coefficients), len(p))
         assert not modes.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             modes[0, 0] = 0.0
@@ -447,7 +465,7 @@ class TestMomentumModeCache:
     def test_cold_and_warm_calls_are_bitwise_equal(self, cat_state, ref_packet):
         p = default_momentum_grid(ref_packet)
         want = uncached_fourier_amplitude(
-            cat_state.expansion.coefficients, cat_state.expansion.n_values, p)
+            cat_state.coefficients, cat_state.n_values, p)
         wavepacket._momentum_modes.cache_clear()
         cold = momentum_amplitude(cat_state, p)
         warm = momentum_amplitude(cat_state, p)
@@ -460,27 +478,25 @@ class TestMomentumModeCache:
     @pytest.mark.parametrize("p", [37.5, [37.5], np.linspace(-90.0, 90.0, 7)],
                              ids=["float", "one_point", "axis"])
     def test_float_and_1d_momenta_keep_their_shapes(self, cat_state, p):
-        e = cat_state.expansion
-        for coefficients in (e.coefficients, np.eye(len(e.coefficients))):
-            want = uncached_fourier_amplitude(coefficients, e.n_values, p)
+        n = cat_state.n_values
+        for coefficients in (cat_state.coefficients, np.eye(len(n))):
+            want = uncached_fourier_amplitude(coefficients, n, p)
             for _ in range(2):  # cold, then warm
-                got = fourier_amplitude(coefficients, e.n_values, p)
+                got = fourier_amplitude(coefficients, n, p)
                 assert got.shape == want.shape == coefficients.shape[:-1] + (np.size(p),)
                 assert got.tobytes() == want.tobytes()
 
     def test_two_dimensional_momenta_are_rejected(self, cat_state):
-        e = cat_state.expansion
         with pytest.raises(ValueError, match="float or a 1-d array"):
-            fourier_amplitude(e.coefficients, e.n_values, np.zeros((2, 3)))
+            fourier_amplitude(cat_state.coefficients, cat_state.n_values, np.zeros((2, 3)))
 
     def test_level_ranges_get_separate_entries(self):
         states = two_level_range_states()
         p = np.linspace(-150.0, 150.0, 256)
         wavepacket._momentum_modes.cache_clear()
         for s in states * 2:  # interleaved: miss, miss, hit, hit
-            e = s.expansion
-            want = uncached_fourier_amplitude(e.coefficients, e.n_values, p)
-            assert fourier_amplitude(e.coefficients, e.n_values, p).tobytes() == want.tobytes()
+            want = uncached_fourier_amplitude(s.coefficients, s.n_values, p)
+            assert fourier_amplitude(s.coefficients, s.n_values, p).tobytes() == want.tobytes()
         info = wavepacket._momentum_modes.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
@@ -491,7 +507,7 @@ class TestMomentumAmplitude:
         p = np.linspace(-110.0, 110.0, 301)
         got = momentum_amplitude(state, p)
         want = np.zeros(len(p), dtype=complex)
-        for n, a_n in zip(exp0.n_values, state.expansion.coefficients):
+        for n, a_n in zip(exp0.n_values, state.coefficients):
             want += a_n * math.sqrt(2.0) * mode_transform_oracle(int(n), p)
         want /= math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(got - want)) < 2e-14  # measured 6.8e-15

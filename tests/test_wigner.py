@@ -28,7 +28,7 @@ from boxrevive import (
     write_field_pgm,
 )
 from boxrevive.fields import trapezoid_2d
-from boxrevive.wavepacket import _TILE_BYTES, EigenExpansion, EvolvedState
+from boxrevive.wavepacket import _TILE_BYTES, EvolvedState
 from boxrevive.wigner import (
     DEFAULT_GRID,
     WignerField,
@@ -120,16 +120,17 @@ class TestCatState:
         expected = 2.0 * math.pi / (p_up - p_dn)
         assert abs(spacing - expected) / expected < 0.10
 
-    def test_fringe_window_is_centred_on_the_packet(self):
-        # Off the box centre the crossings are read around x_bar: the same
-        # column read around 1/2 gives another spacing (0.0786 against 0.0754).
+    def test_fringe_window_is_centred_on_the_box_midpoint(self):
+        # Off the box centre the copies sit at x_bar and 1 - x_bar and their
+        # fringes lie around 1/2, where the crossings are read: the same
+        # column read around x_bar gives another spacing (0.0754 against 0.0786).
         packet = PacketSpec(0.4, 0.08, 40.0)
         cfg = SystemConfig(0.0)
         state = evolve(expand(packet, cfg), 0.25, cfg)
         x, column = per_pair_zero_column(state)
-        expected = crossing_spacing(x, column, packet.x_bar)
+        expected = crossing_spacing(x, column, 0.5)
         assert fringe_spacing(state) == pytest.approx(expected, rel=1e-9)
-        assert crossing_spacing(x, column, 0.5) != pytest.approx(expected, rel=1e-2)
+        assert crossing_spacing(x, column, packet.x_bar) != pytest.approx(expected, rel=1e-2)
 
 
 class TestMarginalErrors:
@@ -153,9 +154,9 @@ class TestMarginalErrors:
         field, state = revival_cases[case]
         _, p_err = marginal_errors(field, state)
         assert p_err < 1e-13
-        coeffs = state.expansion.coefficients.copy()
+        coeffs = state.coefficients.copy()
         coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-10
-        kicked = EvolvedState(replace(state.expansion, coefficients=coeffs))
+        kicked = replace(state, coefficients=coeffs)
         _, kicked_err = marginal_errors(field, kicked)
         assert kicked_err > 1e-12
 
@@ -265,18 +266,16 @@ class TestSuperRevivalQuarter:
 
 def mirrored(state):
     """The state psi(1 - x): level n picks up sin(n pi (1 - x)) = (-1)^(n+1) sin(n pi x)."""
-    e = state.expansion
-    signs = np.where(e.n_values % 2 == 1, 1.0, -1.0)
-    return EvolvedState(replace(e, coefficients=signs * e.coefficients))
+    signs = np.where(state.n_values % 2 == 1, 1.0, -1.0)
+    return replace(state, coefficients=signs * state.coefficients)
 
 
 def coefficient_overlap(a, b):
     """|<a|b>|^2 / (||a||^2 ||b||^2) from the coefficients, levels aligned by n."""
-    ea, eb = a.expansion, b.expansion
-    ca = dict(zip(ea.n_values.tolist(), ea.coefficients))
-    inner = sum(np.conj(ca.get(n, 0.0)) * c for n, c in zip(eb.n_values.tolist(), eb.coefficients))
-    return abs(inner) ** 2 / (np.vdot(ea.coefficients, ea.coefficients).real
-                              * np.vdot(eb.coefficients, eb.coefficients).real)
+    ca = dict(zip(a.n_values.tolist(), a.coefficients))
+    inner = sum(np.conj(ca.get(n, 0.0)) * c for n, c in zip(b.n_values.tolist(), b.coefficients))
+    return abs(inner) ** 2 / (np.vdot(a.coefficients, a.coefficients).real
+                              * np.vdot(b.coefficients, b.coefficients).real)
 
 
 class TestMoyalIdentity:
@@ -329,6 +328,11 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="p_max must be finite"):
             wigner(cat_state, nx=16, n_p=16, p_max=p_max)
 
+    @pytest.mark.parametrize("nx, n_p", [(1, 16), (16, 1)])
+    def test_grid_of_one_row_or_column_rejected(self, cat_state, nx, n_p):
+        with pytest.raises(ValueError, match="grid must have nx, n_p >= 2"):
+            wigner(cat_state, nx=nx, n_p=n_p)
+
     def test_x_marginal_tracks_density_pointwise(self, cat_wigner, cat_state):
         rho = position_density(cat_state, cat_wigner.x_axis)
         marg = np.trapezoid(cat_wigner.values, cat_wigner.p_axis, axis=1)
@@ -364,8 +368,8 @@ def assert_key_sums_match_their_definition(coefficients, n_min):
 def quadrature_cell(state, x, p):
     """(1/pi) integral over |u| <= min(x, 1 - x) of psi*(x - u) psi(x + u) e^{-2ipu}, in mpmath."""
     mpmath.mp.dps = 20
-    a = [mpmath.mpc(complex(c)) for c in state.expansion.coefficients]
-    n = [int(k) for k in state.expansion.n_values]
+    a = [mpmath.mpc(complex(c)) for c in state.coefficients]
+    n = [int(k) for k in state.n_values]
     x, p = mpmath.mpf(x), mpmath.mpf(p)
 
     def psi(y):
@@ -504,17 +508,16 @@ class TestClosedForm:
         # _field on that one momentum: one entry of the field's table cache,
         # keyed by the one-point p axis.
         state = states["cat"]
-        e = state.expansion
         _tables.cache_clear()
         spacing = fringe_spacing(state)
         info = _tables.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
         p_axis = np.array([_zero_momentum(default_p_max(state.packet))])
-        assert_read_only(_tables(DEFAULT_GRID, p_axis.tobytes(), e.n_min, e.n_max))
+        assert_read_only(_tables(DEFAULT_GRID, p_axis.tobytes(), state.n_min, state.n_max))
         info = _tables.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         x, column = per_pair_zero_column(state)
-        expected = crossing_spacing(x, column, state.packet.x_bar)
+        expected = crossing_spacing(x, column, 0.5)
         assert expected is not None
         assert spacing == pytest.approx(expected, rel=1e-9)
 
@@ -545,8 +548,7 @@ class TestClosedForm:
 
     def test_key_sums_of_evolved_states_match_their_definition(self, states, large_angle):
         expansion, cfg = large_angle  # levels 66..192
-        for e in (states["cat"].expansion, states["dephased"].expansion,
-                  evolve(expansion, 0.25, cfg).expansion):
+        for e in (states["cat"], states["dephased"], evolve(expansion, 0.25, cfg)):
             assert_key_sums_match_their_definition(e.coefficients, e.n_min)
 
     @settings(max_examples=40, deadline=None)
@@ -593,7 +595,7 @@ class TestClosedForm:
         cfg = SystemConfig(0.0)
         packet = PacketSpec(0.5, 0.1, 255.0 * math.pi / 2.0 - 60.0)
         state = evolve(expand(packet, cfg), 0.25, cfg)
-        assert (state.expansion.n_min, state.expansion.n_max) == (96, 124)
+        assert (state.n_min, state.n_max) == (96, 124)
         p_axis = np.linspace(-default_p_max(packet), default_p_max(packet), DEFAULT_GRID)
         p = float(p_axis[np.argmin(np.abs(p_axis))])
         assert abs(2.0 * p + math.pi) < 1e-13
@@ -609,7 +611,7 @@ class TestClosedForm:
         PacketSpec(0.5, 1e-300, 1.7e308),   # p_max is finite, 2 p_max is not
     ], ids=["inf_p_max", "inf_2p_max"])
     def test_fringe_column_checks_2p_max_before_building_its_axis(self, packet):
-        state = EvolvedState(EigenExpansion(1, np.array([1 + 0j]), 1.0, packet))
+        state = EvolvedState(1, np.array([1 + 0j]), 1.0, packet)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="2 p_max must be finite"):
@@ -704,7 +706,7 @@ class TestKernelTables:
         # its angles, and the reciprocals need the (key x p) denominators,
         # their pole mask and the unfolded reciprocals. Measured 1.13 blocks
         # at 256^2 and 0.56 at 512^2.
-        e = evolve(exp_moderate, 500.0, cfg_moderate).expansion
+        e = evolve(exp_moderate, 500.0, cfg_moderate)
         p_axis = np.linspace(-150.0, 150.0, grid)
         _tables.cache_clear()
         tracemalloc.start()
@@ -735,5 +737,5 @@ class TestKernelTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rhs = 8 * 4 * len(state.expansion.coefficients) * grid
+        rhs = 8 * 4 * len(state.coefficients) * grid
         assert peak - field.values.nbytes <= 3 * _TILE_BYTES + rhs
