@@ -253,24 +253,18 @@ def _fmt(value) -> str:
 
 
 def write_manifest(path: Path, cfg: RunConfig, derived: dict) -> None:
-    lines = ["[run]"]
-    lines.append(f"tool = boxrevive {__version__}")
-    lines.append(f"subcommand = {cfg.subcommand}")
-    lines.append(f"output_dir = {cfg.output_dir}")
-    lines.append(f"formats = {_fmt(cfg.formats)}")
-    lines.append(f"n_bar_override = {_fmt(cfg.n_bar_override)}")
-    lines.append("[system]")
-    for f in dataclasses.fields(SystemConfig):
-        lines.append(f"{f.name} = {_fmt(getattr(cfg.system, f.name))}")
-    lines.append("[packet]")
-    for f in dataclasses.fields(PacketSpec):
-        lines.append(f"{f.name} = {_fmt(getattr(cfg.packet, f.name))}")
-    lines.append("[grid]")
-    for key in sorted(cfg.grid):
-        lines.append(f"{key} = {_fmt(cfg.grid[key])}")
-    lines.append("[derived]")
-    for key in sorted(derived):
-        lines.append(f"{key} = {_fmt(derived[key])}")
+    run_keys = ("subcommand", "output_dir", "formats", "n_bar_override")
+    sections = {
+        "run": {"tool": f"boxrevive {__version__}", **{k: getattr(cfg, k) for k in run_keys}},
+        "system": dataclasses.asdict(cfg.system),
+        "packet": dataclasses.asdict(cfg.packet),
+        "grid": dict(sorted(cfg.grid.items())),
+        "derived": dict(sorted(derived.items())),
+    }
+    lines = []
+    for name, entries in sections.items():
+        lines.append(f"[{name}]")
+        lines += (f"{key} = {_fmt(value)}" for key, value in entries.items())
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -75,12 +75,6 @@ def write_field_csv(path, f: Field2D) -> None:
             out.write(row_fmt % (t, *row.tolist()))
 
 
-def _pgm_bytes(quantized: np.ndarray, comment: str) -> bytes:
-    h, w = quantized.shape
-    header = f"P5\n# {comment}\n{w} {h}\n255\n".encode("ascii")
-    return header + quantized.astype(np.uint8).tobytes()
-
-
 def write_field_pgm(path, f: Field2D, *, signed: bool) -> None:
     """8-bit grayscale export.
 
@@ -98,8 +92,9 @@ def write_field_pgm(path, f: Field2D, *, signed: bool) -> None:
         scale = float(np.max(v))
         mapped = (v / scale if scale > 0.0 else v) ** GAMMA
         comment = f"mapping=unsigned gamma={FLOAT_FMT % GAMMA} max={FLOAT_FMT % scale}"
-    quantized = np.clip(np.rint(mapped * 255.0), 0, 255)
-    Path(path).write_bytes(_pgm_bytes(quantized, comment))
+    pixels = np.clip(np.rint(mapped * 255.0), 0, 255).astype(np.uint8)
+    header = f"P5\n# {comment}\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + pixels.tobytes())
 
 
 def uniform_times(t_range, n: int) -> np.ndarray:

@@ -36,12 +36,11 @@ ulp. Each half is written into the field in place.
 Everything a field needs that no state changes is one read-only cache
 entry per (nx, p axis, n_min, n_max), at most four entries: the x axis,
 [C S], cos and sin(2pL), the pair sums' index table, the folded reciprocals
-with 1/pi folded in, the far half's signs and the pole terms. Both trig
-tables are np.cos and np.sin of their rounded angle arrays, taken once per
+with 1/pi folded in, the far half's signs and the pole terms. Every trig
+table of an entry is `_cos_sin` of its rounded angle array, taken once per
 entry, so a cell's rounding error grows with its largest angle |2 pi n L| or
-|2pL|. At levels 3..31 an entry holds 0.89 MB at 256 x 256, 2.8 MB at
-512 x 512 and 9.8 MB at 1024 x 1024. So a call does one lookup, the state's
-pair sums and, per half, the two reciprocal products and the tile products.
+|2pL|. So a call does one lookup, the state's pair sums and, per half, the
+two reciprocal products and the tile products.
 
 Each half is built in row tiles whose (rows x p) block fits
 wavepacket._TILE_BYTES (256 KiB; 64 rows at n_p = 512): both products of a
@@ -233,10 +232,7 @@ def _tables(nx: int, p_bytes: bytes, n_min: int, n_max: int) -> tuple:
     x = np.linspace(0.0, 1.0, nx)
     half = x[: (nx + 1) // 2]
     n = np.arange(n_min, n_max + 1)
-    cs = np.empty((len(half), len(n), 2))
-    angle = np.outer(half, 2.0 * math.pi * n)
-    np.cos(angle, out=cs[..., 0])
-    np.sin(angle, out=cs[..., 1])
+    cs = np.stack(_cos_sin(half, 2.0 * math.pi * n), axis=-1)
     p_axis = np.frombuffer(p_bytes)
     recip, keys, cols, pole_cos, pole_sin = _key_reciprocals(n_max, p_axis, half)
     pos, neg = recip[2 * n_max :], recip[2 * n_max :: -1]

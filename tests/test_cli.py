@@ -525,6 +525,35 @@ class TestManifest:
         assert (derived["captured_norm"], derived["n_min"], derived["n_max"]) == (
             "0.999999999057", "3", "31")
 
+    def test_layout_is_pinned(self, tmp_path):
+        # Section order, key order within each section, value spelling and the
+        # final newline; output_dir is the test's own directory.
+        argv = ["spectrum", "--q2", "1e-5", "--pbar", "50", "--nmax", "4"]
+        assert run_quiet([*argv, "--outdir", str(tmp_path)]) == 0
+        lines = (tmp_path / "manifest.txt").read_text().split("\n")
+        assert [line for line in lines if not line.startswith("output_dir = ")] == [
+            "[run]",
+            f"tool = boxrevive {boxrevive.__version__}",
+            "subcommand = spectrum",
+            "formats = csv,pgm",
+            "n_bar_override = ",
+            "[system]",
+            "q_squared = 1e-05",
+            "truncation_epsilon = 1e-06",
+            "n_max_cap = 512",
+            "[packet]",
+            "x_bar = 0.5",
+            "delta_x = 0.1",
+            "p_bar = 50",
+            "[grid]",
+            "nmax = 4",
+            "[derived]",
+            "n_bar = 16",
+            "spectrum_turnover = 223.60679775",
+            "t_sr4 = 100000",
+            "",
+        ]
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
