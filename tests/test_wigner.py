@@ -414,20 +414,18 @@ class TestClosedForm:
         assert np.max(np.abs(field.values - reference)) <= 1e-12
         assert not np.any(field.values[[0, -1]])  # L = 0 at both walls
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         case=st.sampled_from(["cat", "third", "super_quarter", "mid_bounce"]),
         key=st.integers(-64, 64),
         offset=st.floats(-1e-3, 1e-3),
-        nx=st.sampled_from([33, DEFAULT_GRID]),  # DEFAULT_GRID: the rows fringe_spacing reads
     )
-    def test_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset, nx):
+    def test_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset):
         # Every key kappa is an integer multiple of pi; p = -kappa/2 is its
         # pole. Within POLE_GAP of it the reciprocals of that key are dropped
         # and their pair terms summed directly.
         p = -0.5 * math.pi * key + offset
-        column = _field(states[case], nx, np.array([p]))
-        assert column.x_axis.tobytes() == np.linspace(0.0, 1.0, nx).tobytes()
+        column = _field(states[case], 33, np.array([p]))
         reference = per_pair_field(states[case], column.x_axis, [p])
         assert np.max(np.abs(column.values - reference)) <= 1e-12
 
@@ -550,6 +548,21 @@ class TestClosedForm:
         expansion, cfg = large_angle  # levels 66..192
         for e in (states["cat"], states["dephased"], evolve(expansion, 0.25, cfg)):
             assert_key_sums_match_their_definition(e.coefficients, e.n_min)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(["cat", "third", "super_quarter", "mid_bounce"]),
+        key=st.integers(-64, 64),
+        offset=st.floats(-1e-3, 1e-3),
+    )
+    def test_closed_form_column_near_a_pole_matches_per_pair_sum(self, states, case, key, offset):
+        # The one-momentum column on the default grid's rows, as fringe_spacing
+        # reads it, within POLE_GAP of p = -kappa/2.
+        p = -0.5 * math.pi * key + offset
+        column = _field(states[case], DEFAULT_GRID, np.array([p]))
+        assert column.x_axis.tobytes() == np.linspace(0.0, 1.0, DEFAULT_GRID).tobytes()
+        reference = per_pair_field(states[case], column.x_axis, [p])
+        assert np.max(np.abs(column.values[:, 0] - reference[:, 0])) <= 1e-12
 
     @pytest.mark.parametrize("nx", [2, 3, 256, 257])
     @pytest.mark.parametrize("case, p", [
