@@ -31,7 +31,6 @@ from .subplanck import (
 from .wavepacket import (
     CoverageError,
     EigenExpansion,
-    EvolvedState,
     PacketSpec,
     PerturbativeValidityWarning,
     TruncationError,
@@ -56,7 +55,6 @@ from .wigner import (
 __all__ = [
     "CoverageError",
     "EigenExpansion",
-    "EvolvedState",
     "Field2D",
     "FidelityScan",
     "PacketSpec",

@@ -7,7 +7,8 @@ the row gives its flag, config-file key, type, default, check and help. Every
 run computes first, then makes the output directory and writes its artifacts
 there. --formats selects which CSV and PGM artifacts of any
 subcommand are written; revivals.json and manifest.txt, which records every
-resolved parameter including defaults, are always written. A run that fails
+resolved parameter including defaults and the Python and numpy versions, are
+always written. A run that fails
 makes no directory.
 
 Exit status 2 means a configuration error: a value that does not parse or
@@ -42,6 +43,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import platform
 import sys
 import warnings
 from pathlib import Path
@@ -60,7 +62,7 @@ from .spectrum import (
     spectrum_turnover,
     time_scales,
 )
-from .subplanck import MODES, sensitivity_reports, subplanck_dimension
+from .subplanck import MODES, SHORT_TIME, sensitivity_reports, subplanck_dimension
 from .wavepacket import MAX_LEVEL, PacketSpec, TruncationError, default_p_max, evolve, expand
 from .wigner import DEFAULT_GRID, marginal_errors, wigner
 
@@ -260,6 +262,7 @@ def write_manifest(path: Path, cfg: RunConfig, derived: dict) -> None:
         "packet": dataclasses.asdict(cfg.packet),
         "grid": dict(sorted(cfg.grid.items())),
         "derived": dict(sorted(derived.items())),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
     }
     lines = []
     for name, entries in sections.items():
@@ -431,13 +434,13 @@ SUBCOMMANDS = {
         Param("nx", int, 512, None, "position samples"),
     ), _run_carpet),
     "wigner": ("phase-space Wigner distribution", (
-        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev]"),
+        Param("t", float, SHORT_TIME, AT_LEAST_0, "evaluation time [T_rev]"),
         Param("nx", int, DEFAULT_GRID, None, "position samples"),
         Param("np", int, DEFAULT_GRID, None, "momentum samples"),
         Param("pmax", float, default_p_max, None, "momentum half-range (default |pbar| + 6/dx)"),
     ), _run_wigner),
     "subplanck": ("sub-Planck action / dimension report", (
-        Param("t", float, 0.25, AT_LEAST_0, "evaluation time [T_rev] (single-point run)"),
+        Param("t", float, SHORT_TIME, AT_LEAST_0, "evaluation time [T_rev] (single-point run)"),
         Param(
             "q2_list", _floats, None,
             (lambda v: bool(v) and all(q >= 0.0 for q in v), "a non-empty list of values >= 0"),

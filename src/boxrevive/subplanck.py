@@ -56,26 +56,20 @@ class SubPlanckReport:
 
 
 def subplanck_dimension(
-    packet: PacketSpec,
-    cfg: SystemConfig,
-    t: float,
-    with_fringe: bool = False,
-    expansion: EigenExpansion | None = None,
+    packet: PacketSpec, cfg: SystemConfig, t: float, with_fringe: bool = False
 ) -> SubPlanckReport:
-    """Evolve the packet to t and measure dx, dp, A = dx dp and a = 1/A.
+    """Evolve the packet to t and measure dx, dp, A = dx dp and a = 1/A."""
+    return _report(evolve(expand(packet, cfg), t, cfg), t, cfg.q_squared, with_fringe)
 
-    expansion, if given, replaces expand(packet, cfg), its packet included; its
-    coefficients do not depend on q2, so one serves every strength with the same truncation.
-    """
-    if expansion is None:
-        expansion = expand(packet, cfg)
-    state = evolve(expansion, t, cfg)
+
+def _report(state: EigenExpansion, t: float, q2: float, with_fringe: bool) -> SubPlanckReport:
+    """dx, dp, A = dx dp and, if asked, the fringe spacing of the state evolved to t at q2."""
     x_forms, p_forms = _moment_forms(state.packet, state.n_min, state.n_max)
     dx_eff = _form_std(x_forms, state.coefficients)
     dp_eff = _form_std(p_forms, state.coefficients)
     return SubPlanckReport(
         time=t,
-        q_squared=cfg.q_squared,
+        q_squared=q2,
         delta_x_eff=dx_eff,
         delta_p_eff=dp_eff,
         action_A=dx_eff * dp_eff,
@@ -151,14 +145,13 @@ def sensitivity_reports(
     if mode == "super_revival" and not points:
         raise ValueError("super_revival mode requires at least one q2 > 0")
     base = replace(base_cfg if base_cfg is not None else SystemConfig(), q_squared=0.0)
-    expansion = expand(packet, base)
-    reference = subplanck_dimension(packet, base, SHORT_TIME, expansion=expansion)
+    expansion = expand(packet, base)  # its coefficients do not depend on q2
+    reference = _report(evolve(expansion, SHORT_TIME, base), SHORT_TIME, 0.0, False)
     out = []
     for q2 in points:
         cfg = replace(base, q_squared=q2)
         _warn_past_turnover(expansion, cfg)
-        report = subplanck_dimension(
-            packet, cfg, evaluation_time(q2, mode), with_fringe, expansion
-        )
+        t = evaluation_time(q2, mode)
+        report = _report(evolve(expansion, t, cfg), t, q2, with_fringe)
         out.append((report, report.dim_a / reference.dim_a))
     return out

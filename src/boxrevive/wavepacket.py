@@ -134,13 +134,9 @@ class EigenExpansion:
     def n_values(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_max + 1)
 
-
-class EvolvedState(EigenExpansion):
-    """An EigenExpansion whose coefficients already carry the eigenphases of one time."""
-
     @property
-    def expansion(self) -> EvolvedState:
-        """The state itself. A read-only alias that only `perfbench/` reads; it goes
+    def expansion(self) -> EigenExpansion:
+        """The expansion itself. A read-only alias that only `perfbench/` reads; it goes
         once the benchmark reads the state's fields directly."""
         return self
 
@@ -386,11 +382,11 @@ def phase_cycles(t, q2: float, n_values) -> np.ndarray:
     return out.reshape(t.shape + (size,))
 
 
-def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EvolvedState:
-    """Multiply each coefficient by its exact eigenphase exp(-i E_n t)."""
+def evolve(expansion: EigenExpansion, t: float, cfg: SystemConfig) -> EigenExpansion:
+    """The expansion advanced by t: each coefficient times its exact eigenphase exp(-i E_n t)."""
     cycles = phase_cycles(t, cfg.q_squared, expansion.n_values)
     phases = np.exp(-2j * math.pi * cycles)
-    return EvolvedState(
+    return EigenExpansion(
         expansion.n_min, expansion.coefficients * phases, expansion.captured_norm, expansion.packet
     )
 
@@ -402,7 +398,7 @@ def _density_rows(coefficient_rows: np.ndarray, modes: np.ndarray) -> np.ndarray
     return re * re + im * im
 
 
-def position_density(state: EvolvedState, x_grid) -> np.ndarray:
+def position_density(state: EigenExpansion, x_grid) -> np.ndarray:
     """|psi(x, t)|^2 at each grid point; nonnegative by construction."""
     modes = _mode_matrix(state.n_values, x_grid)
     return _density_rows(state.coefficients[None, :], modes)[0]
@@ -454,7 +450,7 @@ def default_p_max(packet: PacketSpec) -> float:
     return abs(packet.p_bar) + P_COVER_FACTOR / packet.delta_x
 
 
-def momentum_amplitude(state: EvolvedState, p_grid) -> np.ndarray:
+def momentum_amplitude(state: EigenExpansion, p_grid) -> np.ndarray:
     """Momentum amplitude phi(p) of the zero-extended wave function (see fourier_amplitude).
 
     The p grid must be symmetric about 0 and reach at least

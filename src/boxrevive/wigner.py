@@ -67,7 +67,7 @@ import numpy as np
 from .fields import Field2D, trapezoid_2d, trapezoid_weights
 from .wavepacket import (
     _TILE_BYTES,
-    EvolvedState,
+    EigenExpansion,
     _check_reach,
     default_p_max,
     fourier_amplitude,
@@ -100,7 +100,7 @@ class WignerField(Field2D):
 
 
 def wigner(
-    state: EvolvedState,
+    state: EigenExpansion,
     nx: int = DEFAULT_GRID,
     n_p: int = DEFAULT_GRID,
     p_max: float | None = None,
@@ -128,7 +128,7 @@ def _p_axis(p_max: float, n_p: int) -> np.ndarray:
     return np.linspace(-p_max, p_max, n_p)
 
 
-def _field(state: EvolvedState, nx: int, p_axis: np.ndarray) -> WignerField:
+def _field(state: EigenExpansion, nx: int, p_axis: np.ndarray) -> WignerField:
     """W on x = linspace(0, 1, nx) by p_axis, from the boundary terms of the u integral.
 
     Per half: the pair sums of `_key_sums` (flipped for the far half), two
@@ -319,7 +319,7 @@ def negativity_volume(f: WignerField) -> float:
     return trapezoid_2d(f.x_axis, f.p_axis, np.abs(f.values)) - f.captured_norm
 
 
-def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
+def marginal_errors(f: WignerField, state: EigenExpansion) -> tuple[float, float]:
     """Sup-norm mismatch of both marginals against the direct densities.
 
     The marginals are trapezoid sums of the field: sum_p W dp must reproduce
@@ -337,7 +337,7 @@ def marginal_errors(f: WignerField, state: EvolvedState) -> tuple[float, float]:
     return x_err, p_err
 
 
-def fringe_spacing(state: EvolvedState) -> float | None:
+def fringe_spacing(state: EigenExpansion) -> float | None:
     """Interference fringe wavelength along x at p ~ 0.
 
     Reads the column of the default `wigner` grid nearest p = 0, built alone

@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boxrevive
@@ -551,6 +553,9 @@ class TestManifest:
             "n_bar = 16",
             "spectrum_turnover = 223.60679775",
             "t_sr4 = 100000",
+            "[environment]",
+            f"python = {platform.python_version()}",
+            f"numpy = {np.__version__}",
             "",
         ]
 

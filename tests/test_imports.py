@@ -3,7 +3,7 @@ read somewhere, no public name of the package lives on unit tests alone, and
 no private module-level name of the package lives on tests at all. A name is
 read by code alone: Python expressions, or the README's fenced code blocks;
 docstrings, comments and README prose keep nothing alive. Only the benchmark
-reads the `expansion` alias of an evolved state.
+reads the `expansion` alias of `EigenExpansion`.
 
 No linter is a dependency, so this test does the unused-import check with `ast`.
 `__init__.py` is skipped: its imports are the package's public names.
@@ -159,8 +159,8 @@ def test_every_private_name_is_read_by_the_program():
     assert unread_names({path.stem: path.read_text() for path in PROGRAM}, True) == []
 
 
-# `EvolvedState.expansion` returns the state itself and is kept for the
-# benchmark's readers alone; everything else reads the state's fields directly.
+# `EigenExpansion.expansion` returns the expansion itself and is kept for the
+# benchmark's readers alone; everything else reads the fields directly.
 NON_BENCHMARK = sorted(
     path for folder in ("src/boxrevive", "scripts", "tests") for path in (ROOT / folder).glob("*.py")
 )

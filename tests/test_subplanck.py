@@ -22,7 +22,7 @@ from boxrevive import (
     sensitivity_reports,
     subplanck_dimension,
 )
-from boxrevive.subplanck import SHORT_TIME, _moment_forms, evaluation_time
+from boxrevive.subplanck import MODES, SHORT_TIME, _moment_forms, evaluation_time
 from boxrevive.wavepacket import _momentum_modes
 from fringes import crossing_spacing, per_pair_zero_column
 from moments import trapezoid_mean_std
@@ -152,15 +152,6 @@ class TestSingleReport:
         assert fringe_spacing(evolve(expand(packet, cfg), 0.0, cfg)) is None
         assert subplanck_dimension(packet, cfg, 0.0, with_fringe=True).fringe_spacing is None
 
-    def test_given_expansion_decides_the_packet(self, ref_packet, cfg_weak):
-        # Widths and the fringe column follow the expansion, not the packet
-        # argument: other's forms and momentum axis differ from ref_packet's.
-        other = PacketSpec(x_bar=0.4, delta_x=0.08, p_bar=40.0)
-        report = subplanck_dimension(
-            ref_packet, cfg_weak, 0.25, True, expansion=expand(other, cfg_weak)
-        )
-        assert report == subplanck_dimension(other, cfg_weak, 0.25, True)
-
 
 class TestEvaluationTime:
     def test_short_time(self):
@@ -224,6 +215,15 @@ class TestSensitivityCurve:
         stars = [re.search(r"n\*=(\S+);", str(w.message)).group(1)
                  for w in caught if issubclass(w.category, PerturbativeValidityWarning)]
         assert stars == ["31.62", "22.36"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_curve_reports_equal_standalone_reports(self, ref_packet, mode):
+        # A curve expands once and evolves that expansion to each point; a
+        # standalone report expands per call. Expansions do not depend on q2,
+        # so both read the same state and every field agrees bitwise.
+        for report, _ in sensitivity_reports(ref_packet, Q2_GRID, mode, with_fringe=True):
+            q2, t = report.q_squared, report.time
+            assert report == subplanck_dimension(ref_packet, SystemConfig(q2), t, True)
 
     def test_pairs_sorted_by_strength(self, ref_packet):
         curve = sensitivity_reports(ref_packet, [1e-5, 2e-6, 8e-6], "short_time")

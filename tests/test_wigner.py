@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from boxrevive import (
     CoverageError,
+    EigenExpansion,
     Field2D,
     PacketSpec,
     SystemConfig,
@@ -28,7 +29,7 @@ from boxrevive import (
     write_field_pgm,
 )
 from boxrevive.fields import trapezoid_2d
-from boxrevive.wavepacket import _TILE_BYTES, EvolvedState
+from boxrevive.wavepacket import _TILE_BYTES
 from boxrevive.wigner import (
     DEFAULT_GRID,
     WignerField,
@@ -609,7 +610,7 @@ class TestClosedForm:
         PacketSpec(0.5, 1e-300, 1.7e308),   # p_max is finite, 2 p_max is not
     ], ids=["inf_p_max", "inf_2p_max"])
     def test_fringe_column_checks_2p_max_before_building_its_axis(self, packet):
-        state = EvolvedState(1, np.array([1 + 0j]), 1.0, packet)
+        state = EigenExpansion(1, np.array([1 + 0j]), 1.0, packet)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="2 p_max must be finite"):
