@@ -453,25 +453,32 @@ def default_p_max(packet: PacketSpec) -> float:
 def momentum_amplitude(state: EigenExpansion, p_grid) -> np.ndarray:
     """Momentum amplitude phi(p) of the zero-extended wave function (see fourier_amplitude).
 
-    The p grid must be symmetric about 0 and reach at least
-    |p_bar| + 6/delta_x on both sides, so that sum |phi|^2 dp recovers the
-    captured norm to 1e-4.
+    The p grid must be a 1-d array of at least 2 points (else ValueError),
+    symmetric about 0 (else CoverageError), and its half-range p_max must
+    pass `_check_reach`: 2 p_max finite and p_max >= |p_bar| + 6/delta_x,
+    so that sum |phi|^2 dp recovers the captured norm to 1e-4.
     """
     p = np.asarray(p_grid, dtype=float)
-    _check_coverage(state.packet, p)
+    if p.ndim != 1 or len(p) < 2:
+        raise ValueError(f"p_grid must be a 1-d array of at least 2 points (got shape {p.shape})")
+    first, last = float(p[0]), float(p[-1])
+    span = max(abs(first), abs(last))
+    if abs(first + last) > 1e-9 * max(1.0, span):
+        raise CoverageError("momentum grid must be symmetric about 0")
+    _check_reach(state.packet, span)
     return fourier_amplitude(state.coefficients, state.n_values, p)
 
 
-def _check_coverage(packet: PacketSpec, p: np.ndarray) -> None:
-    """Raise CoverageError unless p is symmetric about 0 and reaches |p_bar| + 6/delta_x."""
-    span = max(abs(p[0]), abs(p[-1]))
-    if abs(p[0] + p[-1]) > 1e-9 * max(1.0, span):
-        raise CoverageError("momentum grid must be symmetric about 0")
-    _check_reach(packet, span)
-
-
 def _check_reach(packet: PacketSpec, p_max: float) -> None:
-    """Raise CoverageError unless the half-range p_max of a grid reaches default_p_max."""
+    """The one momentum-window rule, for a grid over [-p_max, p_max].
+
+    ValueError unless 2 p_max is finite (the Wigner kernel works with 2p),
+    then CoverageError unless p_max reaches default_p_max. `wigner.wigner`
+    applies it to its p_max, `wigner.fringe_spacing` to default_p_max and
+    `momentum_amplitude` to its grid's half-range.
+    """
+    if not math.isfinite(2.0 * p_max):
+        raise ValueError(f"2 p_max must be finite (got p_max = {p_max})")
     need = default_p_max(packet)
     if p_max < need - 1e-9:
         raise CoverageError(

@@ -116,16 +116,8 @@ def wigner(
         raise ValueError(f"grid must have nx, n_p >= 2 (got {nx}, {n_p})")
     if p_max is None:
         p_max = default_p_max(state.packet)
-    p_axis = _p_axis(p_max, n_p)
     _check_reach(state.packet, p_max)
-    return _field(state, nx, p_axis)
-
-
-def _p_axis(p_max: float, n_p: int) -> np.ndarray:
-    """linspace(-p_max, p_max, n_p); 2 p_max must be finite, since the kernel works with 2p."""
-    if not math.isfinite(2.0 * p_max):
-        raise ValueError(f"2 p_max must be finite (got p_max = {p_max})")
-    return np.linspace(-p_max, p_max, n_p)
+    return _field(state, nx, np.linspace(-p_max, p_max, n_p))
 
 
 def _field(state: EigenExpansion, nx: int, p_axis: np.ndarray) -> WignerField:
@@ -346,10 +338,12 @@ def fringe_spacing(state: EigenExpansion) -> float | None:
     box midpoint x = 1/2, or None when fewer than two crossings exist (no
     resolvable fringes). At the two-copy instants the copies sit at x_bar
     and 1 - x_bar, so their fringes lie around 1/2 wherever the packet
-    started. No coverage check: it protects the marginals of a whole field,
-    and one column has none.
+    started. The default p axis obeys `_check_reach` like any other.
     """
-    column = _field(state, DEFAULT_GRID, np.array([_zero_momentum(default_p_max(state.packet))]))
+    p_max = default_p_max(state.packet)
+    _check_reach(state.packet, p_max)
+    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
+    column = _field(state, DEFAULT_GRID, p_axis[[np.argmin(np.abs(p_axis))]])
     x, w = column.x_axis, column.values[:, 0]
     mask = np.abs(x - 0.5) <= FRINGE_WINDOW
     x, w = x[mask], w[mask]
@@ -358,10 +352,3 @@ def fringe_spacing(state: EigenExpansion) -> float | None:
         return None
     crossings = x[flips] + w[flips] / (w[flips] - w[flips + 1]) * (x[flips + 1] - x[flips])
     return 2.0 * float(np.mean(np.diff(crossings)))
-
-
-@functools.lru_cache(maxsize=4)
-def _zero_momentum(p_max: float) -> float:
-    """The momentum nearest 0 on the default grid's p axis over [-p_max, p_max]."""
-    p_axis = _p_axis(p_max, DEFAULT_GRID)
-    return float(p_axis[np.argmin(np.abs(p_axis))])

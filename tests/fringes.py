@@ -36,12 +36,17 @@ def per_pair_field(state, x_axis, p_axis):
     return total.real / math.pi
 
 
+def zero_momentum(packet):
+    """The default `wigner` grid's momentum nearest p = 0, as a one-point p axis."""
+    p_max = default_p_max(packet)
+    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
+    return p_axis[[np.argmin(np.abs(p_axis))]]
+
+
 def per_pair_zero_column(state):
     """(x, W) on the column of the default `wigner` grid nearest p = 0, from `per_pair_field`."""
-    p_max = default_p_max(state.packet)
-    p_axis = np.linspace(-p_max, p_max, DEFAULT_GRID)
     x = np.linspace(0.0, 1.0, DEFAULT_GRID)
-    return x, per_pair_field(state, x, p_axis[[np.argmin(np.abs(p_axis))]])[:, 0]
+    return x, per_pair_field(state, x, zero_momentum(state.packet))[:, 0]
 
 
 def crossing_spacing(x, w, centre):

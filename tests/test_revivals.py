@@ -12,6 +12,7 @@ from boxrevive import (
     SystemConfig,
     autocorrelation,
     enumerate_fractional,
+    expand,
     fidelity_scan,
 )
 
@@ -142,3 +143,48 @@ class TestFidelityScan:
         e_prime = 2 * 16 - 4 * cfg_weak.q_squared * 16**3
         assert t_peak == pytest.approx(32.0 / e_prime, abs=2e-4)
         assert v_peak > 0.9
+
+
+class TestFractionalStructure:
+    """At t = (r/s) t_sr4 with q2 = 2^-14 and s a power of two, t n^2 is an
+    integer and t (n^2 - q2 n^4) = -r n^4 / s (mod 1) has period s in n. So
+    e^{-2 pi i cycles_n} = sum_k b_k e^{2 pi i k n/s} with b the length-s DFT
+    divided by s, the state is at most s copies of the packet, and exactly
+    A(t) = sum_k b_k G(k/s) with G(y) = sum_n |a_n|^2 e^{2 pi i y n}."""
+
+    Q2 = Fraction(1, 2**14)
+
+    @pytest.fixture(scope="class")
+    def reference(self, ref_packet):
+        cfg = SystemConfig(float(self.Q2))
+        return expand(ref_packet, cfg), cfg
+
+    def structure(self, expansion, t, s):
+        """The copy amplitudes b_k and the predicted autocorrelation sum_k b_k G(k/s)."""
+        residues = [t * (n * n - self.Q2 * n**4) % 1 for n in range(s)]
+        for n in expansion.n_values.tolist():
+            assert t * (n * n - self.Q2 * n**4) % 1 == residues[n % s]
+        b = np.fft.fft(np.exp(-2j * math.pi * np.array([float(c) for c in residues]))) / s
+        # k n reduced modulo s before scaling, so each angle lies in [0, 2 pi).
+        kn = np.outer(np.arange(s), expansion.n_values) % s
+        g = np.exp(2j * math.pi * kn / s) @ np.abs(expansion.coefficients) ** 2
+        return b, complex(b @ g)
+
+    @pytest.mark.parametrize("r, s, copies", [
+        (1, 4, 2), (1, 8, 2), (3, 8, 2), (1, 16, 2), (5, 16, 2), (1, 64, 12), (3, 64, 12),
+    ])
+    def test_autocorrelation_is_the_sum_over_copies(self, reference, r, s, copies):
+        expansion, cfg = reference
+        t = Fraction(r, s) / self.Q2
+        assert Fraction(float(t)) == t  # an exact double
+        b, predicted = self.structure(expansion, t, s)
+        assert int(np.sum(np.abs(b) > 1e-12)) == copies
+        assert abs(autocorrelation(expansion, float(t), cfg) - predicted) <= 1e-14
+
+    def test_overlapping_copies_are_not_the_first_weight(self, reference):
+        # At t_sr3 = t_sr4/64 the copies overlap the packet: |A| is not |b_0|.
+        expansion, cfg = reference
+        t = Fraction(1, 64) / self.Q2
+        b, _ = self.structure(expansion, t, 64)
+        assert abs(b[0]) == pytest.approx(0.3536, abs=5e-5)
+        assert abs(autocorrelation(expansion, float(t), cfg)) == pytest.approx(0.6824, abs=5e-5)

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -563,6 +564,12 @@ class TestMomentumAmplitude:
     def test_rejects_short_grid(self, cat_state):
         with pytest.raises(CoverageError):
             momentum_amplitude(cat_state, np.linspace(-80.0, 80.0, 64))
+
+    @pytest.mark.parametrize("p", [[], 37.5, [37.5], np.zeros((2, 3))],
+                             ids=["empty", "float", "one_point", "two_dimensional"])
+    def test_rejects_a_grid_that_is_not_one_axis_of_two_points(self, cat_state, p):
+        with pytest.raises(ValueError, match=re.escape(f"at least 2 points (got shape {np.shape(p)})")):
+            momentum_amplitude(cat_state, p)
 
 
 class TestAutocorrelation:

@@ -28,6 +28,7 @@ from boxrevive import (
     wigner_overlap,
     write_field_pgm,
 )
+from boxrevive.cli import run
 from boxrevive.fields import trapezoid_2d
 from boxrevive.wavepacket import _TILE_BYTES
 from boxrevive.wigner import (
@@ -36,11 +37,10 @@ from boxrevive.wigner import (
     _field,
     _key_sums,
     _tables,
-    _zero_momentum,
     default_p_max,
     marginal_errors,
 )
-from fringes import crossing_spacing, per_pair_field, per_pair_zero_column
+from fringes import crossing_spacing, per_pair_field, per_pair_zero_column, zero_momentum
 from moments import trapezoid_mean_std
 from states import two_level_range_states
 
@@ -48,7 +48,7 @@ from states import two_level_range_states
 def zero_column(state):
     """The column of the default `wigner` grid nearest p = 0, built alone by `_field` on that one
     momentum, as `fringe_spacing` reads it."""
-    return _field(state, DEFAULT_GRID, np.array([_zero_momentum(default_p_max(state.packet))]))
+    return _field(state, DEFAULT_GRID, zero_momentum(state.packet))
 
 
 class TestInitialGaussian:
@@ -327,6 +327,24 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="p_max must be finite"):
             wigner(cat_state, nx=16, n_p=16, p_max=p_max)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 1e308, 60.0])
+    def test_one_window_rule_at_every_entry_point(self, cat_state, tmp_path, capsys, h):
+        # The field, the momentum amplitude and the CLI reject a half-range h
+        # alike: first 2h not finite, then h short of |p_bar| + 6/delta_x = 110.
+        # The grid is built by hand: linspace warns when 2h overflows.
+        expected = CoverageError if h == 60.0 else ValueError
+        with pytest.raises(expected) as field_error:
+            wigner(cat_state, nx=8, n_p=8, p_max=h)
+        with pytest.raises(expected) as amplitude_error:
+            momentum_amplitude(cat_state, np.array([-h, 0.0, h]))
+        assert field_error.type is amplitude_error.type is expected
+        message = str(field_error.value)
+        assert str(amplitude_error.value) == message
+        out = tmp_path / "out"
+        assert run(["wigner", "--pmax", repr(h), "--nx", "8", "--np", "8", "--outdir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("nx, n_p", [(1, 16), (16, 1)])
     def test_grid_of_one_row_or_column_rejected(self, cat_state, nx, n_p):
         with pytest.raises(ValueError, match="grid must have nx, n_p >= 2"):
@@ -511,7 +529,7 @@ class TestClosedForm:
         spacing = fringe_spacing(state)
         info = _tables.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
-        p_axis = np.array([_zero_momentum(default_p_max(state.packet))])
+        p_axis = zero_momentum(state.packet)
         assert_read_only(_tables(DEFAULT_GRID, p_axis.tobytes(), state.n_min, state.n_max))
         info = _tables.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
@@ -595,10 +613,9 @@ class TestClosedForm:
         packet = PacketSpec(0.5, 0.1, 255.0 * math.pi / 2.0 - 60.0)
         state = evolve(expand(packet, cfg), 0.25, cfg)
         assert (state.n_min, state.n_max) == (96, 124)
-        p_axis = np.linspace(-default_p_max(packet), default_p_max(packet), DEFAULT_GRID)
-        p = float(p_axis[np.argmin(np.abs(p_axis))])
-        assert abs(2.0 * p + math.pi) < 1e-13
-        column = _field(state, DEFAULT_GRID, np.array([p])).values[:, 0]
+        p_axis = zero_momentum(packet)
+        assert abs(2.0 * p_axis[0] + math.pi) < 1e-13
+        column = _field(state, DEFAULT_GRID, p_axis).values[:, 0]
         x, reference = per_pair_zero_column(state)
         assert np.max(np.abs(column - reference)) <= 1e-12
         expected = crossing_spacing(x, reference, 0.5)
